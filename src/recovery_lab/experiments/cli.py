@@ -130,6 +130,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, required, optional)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        seed = cfg.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if args.replicates is not None:
             cfg["replicates"] = args.replicates
         if takes_threads:

@@ -35,6 +35,7 @@ from ..estimation import (
     separation_exponent_check,
     vc_lower_bound,
 )
+from ..errors import ConfigError
 from ..lotteries import UNIT, Interval, lottery
 from ..noisy_choice import (
     dataset_text,
@@ -60,7 +61,10 @@ THREADS_ENV = "RECOVERY_LAB_THREADS"
 def resolve_threads(flag_value: int | None) -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     return max(1, flag_value or 1)
 
 

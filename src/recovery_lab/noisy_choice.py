@@ -5,8 +5,10 @@ domain; the agent picks the better option with probability above one half.
 Two error models are provided: a constant flip probability, and a bounded
 response whose accuracy grows with the utility gap but never leaves
 (theta_min, theta_max).  Records are stored chosen-first, and record i
-draws from its own counter-derived stream (seed, i) so datasets are
-prefix-stable and safely parallelizable.
+draws from its own stream ``default_rng([*seed, i])``, so datasets are
+prefix-stable.  ``_streams`` computes these streams in batches, bit for bit,
+following numpy's stable ``SeedSequence``/``PCG64`` algorithms;
+tests/test_streams.py fails loudly if numpy ever changes them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import _jsonio
-from .errors import DatasetFormatError
-from .wald_env import Domain, WaldUtility, domain_from_dict
+from ._streams import Streams
+from .errors import DatasetFormatError, RejectionCapError
+from .wald_env import CAP_MESSAGE, MAX_TRIES, BoxDomain, Domain, WaldUtility, domain_from_dict
+
+_CHUNK = 1024  # records generated per batch
+_ROUND = 1 << 15  # most doubles one rejection round looks ahead
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,7 @@ def q_eval(noise: NoiseModel, pref, x, y) -> float:
     Exactly 1/2 on indifference, above the noise floor on strict pairs, and
     q(x, y) + q(y, x) = 1 holds exactly by construction.
     """
-    ux, uy = pref.value(x), pref.value(y)
-    if ux == uy:
-        return 0.5
-    if ux > uy:
-        return noise.strict_prob(ux - uy)
-    return 1.0 - noise.strict_prob(uy - ux)
+    return float(q_eval_batch(noise, np.array([pref.value(x)]), np.array([pref.value(y)]))[0])
 
 
 def q_eval_batch(noise: NoiseModel, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -148,9 +149,31 @@ def sample_problem(domain: Domain, rng: np.random.Generator) -> tuple[np.ndarray
     return domain.sample(rng), domain.sample(rng)
 
 
-def _record_rng(seed, i: int) -> np.random.Generator:
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return np.random.default_rng([*base, i])
+def _draw_pairs(domain: Domain, streams: Streams, m: int):
+    """x, y and the flip uniform of m records, read in the scalar sampler's order."""
+    box, d = isinstance(domain, BoxDomain), domain.dim
+    # a box try is lo + (hi - lo) * u; a cone try is M * u, kept if contains_batch accepts it
+    lo, span = (domain._lo, domain._hi - domain._lo) if box else (0.0, domain.M)
+    accept = (lambda p: np.ones(len(p), bool)) if box else domain.contains_batch
+    pts, pending = np.empty((2, m, d)), np.arange(m)
+    found, pos, misses = np.zeros((3, m), np.int64)  # misses: rejected tries, current point
+    while pending.size:
+        lead = misses[pending[0]]  # look-ahead grows with the first pending row's misses
+        tries = 1 if box else int(min(max(4, lead), MAX_TRIES - lead))
+        rows = pending[: max(1, _ROUND // (tries * d))]
+        u = streams.read(rows, pos[rows, None] + np.arange(tries * d))
+        cand = lo + span * u.reshape(len(rows), tries, d)
+        ok = accept(cand.reshape(-1, d)).reshape(len(rows), tries)
+        first = ok.argmax(axis=1)
+        hit = ok[np.arange(len(rows)), first] & (misses[rows] + first < MAX_TRIES)
+        pts[found[rows[hit]], rows[hit]] = cand[hit, first[hit]]
+        found[rows[hit]] += 1
+        misses[rows] = np.where(hit, 0, misses[rows] + tries)
+        if np.any(misses >= MAX_TRIES):
+            raise RejectionCapError(CAP_MESSAGE.format(MAX_TRIES))
+        pos[rows] += np.where(hit, first + 1, tries) * d
+        pending = np.flatnonzero(found < 2)
+    return pts[0], pts[1], streams.read(np.arange(m), pos[:, None])[:, 0]
 
 
 def generate_dataset(
@@ -164,15 +187,13 @@ def generate_dataset(
     if n < 0:
         raise ValueError("n must be >= 0")
     records = []
-    for i in range(n):
-        rng = _record_rng(seed, i)
-        x, y = sample_problem(domain, rng)
-        p = q_eval(noise, pref, x, y)
-        if rng.uniform() < p:
-            chosen, rejected = x, y
-        else:
-            chosen, rejected = y, x
-        records.append(ChoiceRecord(tuple(chosen.tolist()), tuple(rejected.tolist())))
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        x, y, flip = _draw_pairs(domain, Streams(seed, np.arange(start, start + m)), m)
+        v = pref.value_batch(np.concatenate([x, y]))
+        keep = (flip < q_eval_batch(noise, v[:m], v[m:]))[:, None]
+        chosen, rejected = np.where(keep, x, y).tolist(), np.where(keep, y, x).tolist()
+        records += [ChoiceRecord(tuple(c), tuple(r)) for c, r in zip(chosen, rejected)]
     meta = {
         "format": "choice-dataset/1",
         "domain": domain.to_dict(),

@@ -22,6 +22,9 @@ LINEAR = "linear"
 CES = "ces"
 COBB_DOUGLAS = "cobb_douglas"
 
+MAX_TRIES = 10_000  # rejection tries per cone point
+CAP_MESSAGE = "rejection sampling failed after {} tries; domain parameters look degenerate"
+
 
 @dataclass(frozen=True)
 class BoxDomain:
@@ -103,15 +106,12 @@ class ConeDomain:
         norms = np.linalg.norm(x, axis=1)
         return (norms <= self.M) & (np.min(x, axis=1) >= (self.alpha / self.M) * norms)
 
-    def sample(self, rng: np.random.Generator, max_tries: int = 10_000) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, max_tries: int = MAX_TRIES) -> np.ndarray:
         for _ in range(max_tries):
             x = rng.uniform(0.0, self.M, size=self.d)
             if self.contains(x):
                 return x
-        raise RejectionCapError(
-            f"rejection sampling failed after {max_tries} tries; "
-            "domain parameters look degenerate"
-        )
+        raise RejectionCapError(CAP_MESSAGE.format(max_tries))
 
     def sample_batch(self, rng: np.random.Generator, n: int, max_tries: int = 200) -> np.ndarray:
         out = np.empty((n, self.d))

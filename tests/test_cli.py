@@ -1,6 +1,7 @@
 """CLI contract: exit codes, outputs, strict configs, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 from recovery_lab.experiments.cli import cli_main
@@ -203,3 +204,56 @@ class TestDeterminism:
         cfg = {"version": 1, "seed": 5, "k_max": 10, "m": 500}
         a, b = self.run_twice(tmp_path, "nonid", cfg)
         self.compare_dirs(a, b)
+
+
+class TestBoundaryValidation:
+    GEN = {
+        "version": 1,
+        "seed": 3,
+        "n": 20,
+        "domain": BOX,
+        "noise": FLIP,
+        "preference": {"kind": "linear", "weights": [0.25, 0.75]},
+    }
+
+    def assert_config_error(self, capsys, argv, name):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        for command, cfg in (("gen", self.GEN), ("consistency", consistency_cfg())):
+            path = write_cfg(tmp_path, f"{command}.json", cfg)
+            argv = [command, "--config", path, "--seed", "-1", "--out", str(tmp_path / "o")]
+            self.assert_config_error(capsys, argv, "seed")
+
+    def test_bad_seed_in_config(self, tmp_path, capsys):
+        for command, base in (("gen", self.GEN), ("consistency", consistency_cfg())):
+            for seed in (-1, 1.5, 2.0, "3", True, None, [1, 2]):
+                path = write_cfg(tmp_path, f"{command}.json", {**base, "seed": seed})
+                argv = [command, "--config", path, "--out", str(tmp_path / "o")]
+                self.assert_config_error(capsys, argv, "seed")
+
+    def test_large_seed_accepted(self, tmp_path):
+        path = write_cfg(tmp_path, "gen.json", {**self.GEN, "seed": 2**70 + 5})
+        assert cli_main(["gen", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    def test_non_integer_thread_count(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, "c.json", consistency_cfg())
+        monkeypatch.setenv("RECOVERY_LAB_THREADS", "two")
+        argv = ["consistency", "--config", path, "--out", str(tmp_path / "o")]
+        self.assert_config_error(capsys, argv, "RECOVERY_LAB_THREADS")
+
+    def test_rejection_cap_exits_three_quickly(self, tmp_path, capsys):
+        # alpha * sqrt(2) is just below M: about one try in 10^5 lands in the cone
+        cfg = {**self.GEN, "n": 50, "domain": {"cone": {"alpha": 0.7071, "M": 1.0, "d": 2}}}
+        path = write_cfg(tmp_path, "g.json", cfg)
+        start = time.perf_counter()
+        assert cli_main(["gen", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical guard: rejection sampling failed after 10000 tries; "
+            "domain parameters look degenerate\n"
+        )

@@ -1,16 +1,23 @@
 """Noise models, data generation determinism, and dataset serialization."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from recovery_lab.errors import DatasetFormatError
+from recovery_lab.experiments.cli import cli_main
 from recovery_lab.noisy_choice import (
     BoundedResponse,
+    ChoiceRecord,
     ConstantFlip,
     Dataset,
+    dataset_text,
     generate_dataset,
     noise_from_dict,
     q_eval,
@@ -20,6 +27,7 @@ from recovery_lab.noisy_choice import (
     write_dataset,
 )
 from recovery_lab.wald_env import BoxDomain, ConeDomain, WaldUtility
+from test_acceptance import CLI_CONFIGS
 
 BOX = BoxDomain.unit(2)
 U = WaldUtility("linear", (0.3, 0.7))
@@ -221,3 +229,80 @@ class TestSerialization:
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DatasetFormatError):
             read_dataset(p)
+
+
+def reference_dataset(domain, pref, noise, n, seed) -> Dataset:
+    """The per-record generator the batch path replaced, kept as its oracle."""
+    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    records = []
+    for i in range(n):
+        rng = np.random.default_rng([*base, i])
+        x, y = sample_problem(domain, rng)
+        p = q_eval(noise, pref, x, y)
+        if rng.uniform() < p:
+            chosen, rejected = x, y
+        else:
+            chosen, rejected = y, x
+        records.append(ChoiceRecord(tuple(chosen.tolist()), tuple(rejected.tolist())))
+    meta = {
+        "format": "choice-dataset/1",
+        "domain": domain.to_dict(),
+        "noise": noise.to_dict(),
+        "preference": pref.to_dict(),
+        "seed": list(seed) if isinstance(seed, (list, tuple)) else seed,
+        "n": n,
+    }
+    return Dataset(records, meta)
+
+
+SETTINGS = {
+    "box": (BoxDomain((-1.0, 0.5, 2.0), (0.25, 0.75, 5.0)), WaldUtility("linear", (0.2, 0.3, 0.5))),
+    "cone": (ConeDomain(0.1, 1.0, 2), WaldUtility("ces", (0.4375, 0.5625), rho=2.0)),
+}
+NOISES = {
+    "flip": (ConstantFlip(0.75), 11),
+    "bounded": (BoundedResponse(0.6, 0.9, 0.5), [3, 1600, 2]),
+}
+
+
+class TestBatchMatchesScalarLoop:
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("noise_name", sorted(NOISES))
+    @pytest.mark.parametrize("domain_name", sorted(SETTINGS))
+    def test_dataset_bytes(self, domain_name, noise_name, n):
+        domain, pref = SETTINGS[domain_name]
+        noise, seed = NOISES[noise_name]
+        got = dataset_text(generate_dataset(domain, pref, noise, n, seed))
+        assert got == dataset_text(reference_dataset(domain, pref, noise, n, seed))
+
+    def test_low_acceptance_cone(self):
+        # about one try in a hundred is accepted: look-ahead blocks grow and split
+        cone = ConeDomain(0.7, 1.0, 2)
+        pref = WaldUtility("linear", (0.5, 0.5))
+        args = (cone, pref, BoundedResponse(0.6, 0.9, 0.5), 300, [8, 9])
+        assert dataset_text(generate_dataset(*args)) == dataset_text(reference_dataset(*args))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small=st.integers(1000, 1100), extra=st.integers(0, 1100), seed=st.integers(0, 2**40))
+    def test_prefix_stability_across_chunks(self, small, extra, seed):
+        cone, pref = SETTINGS["cone"]
+        noise = ConstantFlip(0.75)
+        short = generate_dataset(cone, pref, noise, small, [seed, 1])
+        long = generate_dataset(cone, pref, noise, small + extra, [seed, 1])
+        assert long.records[:small] == short.records
+
+
+# SHA-256 of outputs at CLI_CONFIGS, recorded from the per-record generator
+GOLDEN = {
+    ("gen", "dataset.jsonl"): "ef5256a84569dc3362f9703718a7f27238048ed84e9ac9c95af3f3fd45b3d0ce",
+    ("consistency", "consistency.csv"): "fa1ddbb8e857d6959325039b7bacb20404e1ecd1b916f3db36ed3ed20594956a",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN))
+def test_golden_output_digests(tmp_path, command, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CLI_CONFIGS[command]))
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN[(command, name)]
