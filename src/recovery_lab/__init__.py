@@ -52,7 +52,6 @@ from .lotteries import (
 )
 from .noisy_choice import (
     BoundedResponse,
-    ChoiceRecord,
     ConstantFlip,
     Dataset,
     generate_dataset,
@@ -66,10 +65,7 @@ from .wald_env import (
     ConeDomain,
     UtilityFamily,
     WaldUtility,
-    contains,
     lipschitz_estimate,
-    sample,
-    u_eval,
     wald_check,
 )
 

@@ -29,19 +29,20 @@ def score_from_values(chosen_values: np.ndarray, rejected_values: np.ndarray) ->
     return float(np.count_nonzero(chosen_values >= rejected_values)) / n
 
 
+def _check_record_dim(ds: Dataset, dim: int) -> None:
+    if ds.chosen.shape[1] != dim:
+        raise ShapeMismatchError(
+            f"records have dimension {ds.chosen.shape[1]}, utility expects {dim}"
+        )
+
+
 def empirical_score(u: WaldUtility, ds: Dataset) -> float:
     """Fraction of dataset records rationalized by u (weak inequality).
 
     The empty dataset scores 1.0 by convention so the fit is total.
     """
-    if ds.n == 0:
-        return 1.0
-    chosen = ds.chosen_matrix()
-    if chosen.shape[1] != u.dim:
-        raise ShapeMismatchError(
-            f"records have dimension {chosen.shape[1]}, utility expects {u.dim}"
-        )
-    return score_from_values(u.value_batch(chosen), u.value_batch(ds.rejected_matrix()))
+    _check_record_dim(ds, u.dim)
+    return score_from_values(u.value_batch(ds.chosen), u.value_batch(ds.rejected))
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,10 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     members = family.members()
     if not members:
         raise EmptyGridError("utility family has an empty grid")
-    chosen = ds.chosen_matrix() if ds.n else None
-    rejected = ds.rejected_matrix() if ds.n else None
+    _check_record_dim(ds, family.dim)
 
     def score(u: WaldUtility) -> float:
-        if ds.n == 0:
-            return 1.0
-        return score_from_values(u.value_batch(chosen), u.value_batch(rejected))
+        return score_from_values(u.value_batch(ds.chosen), u.value_batch(ds.rejected))
 
     evaluated: list[tuple[float, WaldUtility]] = []
 
@@ -255,7 +253,7 @@ def vc_lower_bound(
     k: int,
     trials: int,
     seed: int = 0,
-    proposals: list[list[tuple[np.ndarray, np.ndarray]]] | None = None,
+    proposals: list | None = None,
     budget: int = 20_000_000,
 ) -> int:
     """Largest k' <= k with a witnessed shattered set of k' choice problems.
@@ -264,8 +262,8 @@ def vc_lower_bound(
     perfectly rationalized by some grid member (weak inequalities, so exact
     utility ties realize both labels).  Random problem draws almost surely
     contain no ties, which makes tie-built witnesses unreachable by chance;
-    ``proposals`` lets callers put constructed candidate sets in front of
-    the random search.  The check over labelings and members is exhaustive,
+    ``proposals`` lets callers put constructed candidate sets, each a list
+    of (x, y) problems, in front of the random search.  The check over labelings and members is exhaustive,
     so any reported k' is a genuine lower bound.
     """
     if k < 1 or trials < 1:
@@ -278,33 +276,26 @@ def vc_lower_bound(
             f"shattering search size k*2^k*grid = {k * (2 ** k) * len(members)} "
             f"exceeds budget {budget}"
         )
-    proposals = proposals or []
 
-    def shattered(problems: list[tuple[np.ndarray, np.ndarray]]) -> bool:
-        kk = len(problems)
-        xs = np.stack([p[0] for p in problems])
-        ys = np.stack([p[1] for p in problems])
-        vx = np.stack([mbr.value_batch(xs) for mbr in members])  # (G, kk)
+    def shattered(xs: np.ndarray, ys: np.ndarray) -> bool:
+        """Every labeling of the (k, d) problems xs[i] vs ys[i] is rationalized."""
+        vx = np.stack([mbr.value_batch(xs) for mbr in members])  # (G, k)
         vy = np.stack([mbr.value_batch(ys) for mbr in members])
-        a = vx >= vy  # member rationalizes "x chosen"
-        b = vy >= vx  # member rationalizes "y chosen"
-        for labeling in range(2**kk):
-            bits = np.array([(labeling >> j) & 1 for j in range(kk)], dtype=bool)
-            ok = np.where(bits, b, a).all(axis=1)
-            if not ok.any():
-                return False
-        return True
+        # labels[l, j]: labeling l has "y chosen" on problem j
+        labels = ((np.arange(2 ** len(xs))[:, None] >> np.arange(len(xs))) & 1).astype(bool)
+        ok = np.where(labels[:, None, :], vy >= vx, vx >= vy).all(axis=2)  # (2**k, G)
+        return bool(ok.any(axis=1).all())
 
+    proposed = [np.asarray(c, dtype=float) for c in proposals or () if c]  # each (k', 2, d)
     for k_try in range(k, 0, -1):
-        for cand in proposals:
-            if len(cand) == k_try and shattered(cand):
+        for cand in proposed:
+            if len(cand) == k_try and shattered(cand[:, 0], cand[:, 1]):
                 return k_try
         for t in range(trials):
             rng = np.random.default_rng([seed, k_try, t])
-            problems = [
-                (domain.sample(rng), domain.sample(rng)) for _ in range(k_try)
-            ]
-            if shattered(problems):
+            # x of problem i in row 2i and y in row 2i + 1: the per-problem draw order
+            pts = domain.sample_batch(rng, 2 * k_try).reshape(k_try, 2, -1)
+            if shattered(pts[:, 0], pts[:, 1]):
                 return k_try
     return 0
 

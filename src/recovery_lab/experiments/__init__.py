@@ -6,7 +6,6 @@ from .report import RunReport, SweepOutput, line_chart_svg, quantile_stats
 from .sigma import (
     ChoiceFunctionData,
     SigmaSequence,
-    act_universe,
     build_sigma,
     generated_choices,
     strongly_rationalizes,
@@ -32,7 +31,6 @@ __all__ = [
     "RunReport",
     "SigmaSequence",
     "SweepOutput",
-    "act_universe",
     "build_sigma",
     "cli_main",
     "eu_grid",

@@ -140,9 +140,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         else:
             output = handler(cfg)
         output.write(args.out)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")
         return 3

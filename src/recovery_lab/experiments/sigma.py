@@ -98,17 +98,6 @@ def build_sigma(
     )
 
 
-def act_universe(
-    states: int, interval: Interval, denominator_bound: int, grid_count: int
-) -> tuple[Act, ...]:
-    """All acts assembled from the rational lotteries at one truncation level."""
-    lots = enumerate_rational_lotteries(interval, denominator_bound, grid_count)
-    return tuple(
-        Act(tuple(lots[i] for i in idx))
-        for idx in product(range(len(lots)), repeat=states)
-    )
-
-
 def universe_values(prefs: list[AAPreference], sigma: SigmaSequence) -> np.ndarray:
     """Value of every universe act under every preference, shape (P, m).
 

@@ -50,7 +50,6 @@ from ..wald_env import (
     domain_from_dict,
     lattice_points,
 )
-from . import sigma as sigma_mod
 from .prefgrids import grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
 from .sigma import VALUE_TIE_TOL, build_sigma, universe_values
@@ -124,7 +123,10 @@ def run_fit(cfg: dict) -> SweepOutput:
     from .. import _jsonio
 
     ds = read_dataset(cfg["dataset"])
-    domain = domain_from_dict(cfg.get("domain") or ds.meta["domain"])
+    spec = cfg.get("domain") or ds.meta.get("domain")
+    if spec is None:
+        raise ConfigError("domain is missing: the dataset's meta line has none; set it in the config")
+    domain = domain_from_dict(spec)
     family = UtilityFamily.from_dict(cfg["family"], domain)
     start = time.perf_counter()
     result = erm_fit(family, ds, refinements=int(cfg.get("refinements", 2)))
@@ -413,11 +415,8 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
     k_max = int(cfg.get("k_max", 12))
     trunc = cfg.get("act_truncation", {"denominator_bound": 2, "grid_count": 3})
     z_steps = int(cfg.get("z_steps", 8))
-    grid = list(
-        sigma_mod.act_universe(
-            2, UNIT, int(trunc["denominator_bound"]), int(trunc["grid_count"])
-        )
-    )
+    den, gc = int(trunc["denominator_bound"]), int(trunc["grid_count"])
+    grid = list(build_sigma(2, UNIT, den, gc, k=1).universe)
     csv_rows = []
     cells = []
     series = {}
@@ -698,19 +697,13 @@ def run_vc(cfg: dict) -> SweepOutput:
     start = time.perf_counter()
     domain = domain_from_dict(cfg["domain"])
     family = UtilityFamily.from_dict(cfg["family"], domain)
-    proposals = None
-    if "proposals" in cfg:
-        proposals = [
-            [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in prop]
-            for prop in cfg["proposals"]
-        ]
     got = vc_lower_bound(
         family,
         domain,
         k=int(cfg["k"]),
         trials=int(cfg["trials"]),
         seed=int(cfg.get("seed", 0)),
-        proposals=proposals,
+        proposals=cfg.get("proposals"),
     )
     report = RunReport(
         command="vc",

@@ -4,11 +4,14 @@ Choice problems are pairs drawn independently and uniformly from the
 domain; the agent picks the better option with probability above one half.
 Two error models are provided: a constant flip probability, and a bounded
 response whose accuracy grows with the utility gap but never leaves
-(theta_min, theta_max).  Records are stored chosen-first, and record i
-draws from its own stream ``default_rng([*seed, i])``, so datasets are
-prefix-stable.  ``_streams`` computes these streams in batches, bit for bit,
-following numpy's stable ``SeedSequence``/``PCG64`` algorithms;
-tests/test_streams.py fails loudly if numpy ever changes them.
+(theta_min, theta_max).  A ``Dataset`` is two (n, d) arrays, row i of
+``chosen`` and ``rejected`` being problem i's chosen and rejected options;
+JSONL rows exist only at the file boundary (``dataset_text`` and
+``read_dataset``).  Record i draws from its own stream
+``default_rng([*seed, i])``, so datasets are prefix-stable.  ``_streams``
+computes these streams in batches, bit for bit, following numpy's stable
+``SeedSequence``/``PCG64`` algorithms; tests/test_streams.py fails loudly if
+numpy ever changes them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import _jsonio
 from ._streams import Streams
-from .errors import DatasetFormatError, RejectionCapError
+from .errors import DatasetFormatError, RejectionCapError, ShapeMismatchError
 from .wald_env import CAP_MESSAGE, MAX_TRIES, BoxDomain, Domain, WaldUtility, domain_from_dict
 
 _CHUNK = 1024  # records generated per batch
@@ -114,34 +117,22 @@ def q_eval_batch(noise: NoiseModel, vx: np.ndarray, vy: np.ndarray) -> np.ndarra
     return np.where(gap > 0, up, np.where(gap < 0, 1.0 - up, 0.5))
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    """One resolved problem, chosen option first."""
-
-    chosen: tuple[float, ...]
-    rejected: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.chosen) != len(self.rejected):
-            raise ValueError("chosen and rejected must have the same dimension")
-
-
 @dataclass
 class Dataset:
-    """Choice records plus the metadata needed to regenerate them bit-for-bit."""
+    """Resolved problems as (n, d) arrays, row i chosen-first in ``chosen``,
+    plus the metadata needed to regenerate them bit-for-bit."""
 
-    records: list[ChoiceRecord]
+    chosen: np.ndarray
+    rejected: np.ndarray
     meta: dict
+
+    def __post_init__(self):
+        if self.chosen.ndim != 2 or self.chosen.shape != self.rejected.shape:
+            raise ShapeMismatchError("chosen and rejected must be (n, d) arrays of one shape")
 
     @property
     def n(self) -> int:
-        return len(self.records)
-
-    def chosen_matrix(self) -> np.ndarray:
-        return np.array([r.chosen for r in self.records], dtype=float).reshape(self.n, -1)
-
-    def rejected_matrix(self) -> np.ndarray:
-        return np.array([r.rejected for r in self.records], dtype=float).reshape(self.n, -1)
+        return len(self.chosen)
 
 
 def sample_problem(domain: Domain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +177,14 @@ def generate_dataset(
     """Simulate n problems; chosen = x with probability q(x, y), else y."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    records = []
+    chosen, rejected = np.empty((2, n, domain.dim))
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         x, y, flip = _draw_pairs(domain, Streams(seed, np.arange(start, start + m)), m)
         v = pref.value_batch(np.concatenate([x, y]))
         keep = (flip < q_eval_batch(noise, v[:m], v[m:]))[:, None]
-        chosen, rejected = np.where(keep, x, y).tolist(), np.where(keep, y, x).tolist()
-        records += [ChoiceRecord(tuple(c), tuple(r)) for c, r in zip(chosen, rejected)]
+        chosen[start : start + m] = np.where(keep, x, y)
+        rejected[start : start + m] = np.where(keep, y, x)
     meta = {
         "format": "choice-dataset/1",
         "domain": domain.to_dict(),
@@ -202,20 +193,16 @@ def generate_dataset(
         "seed": list(seed) if isinstance(seed, (list, tuple)) else seed,
         "n": n,
     }
-    return Dataset(records, meta)
+    return Dataset(chosen, rejected, meta)
 
 
 def dataset_text(ds: Dataset) -> str:
     """Line-delimited JSON: meta line first, then one record per line."""
     lines = [_jsonio.dumps(ds.meta)]
-    for r in ds.records:
-        lines.append(
-            '{"chosen": '
-            + _jsonio.dumps(list(r.chosen))
-            + ', "rejected": '
-            + _jsonio.dumps(list(r.rejected))
-            + "}"
-        )
+    lines += [
+        f'{{"chosen": {_jsonio.dumps(c)}, "rejected": {_jsonio.dumps(r)}}}'
+        for c, r in zip(ds.chosen.tolist(), ds.rejected.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -223,10 +210,15 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text(dataset_text(ds), encoding="utf-8")
 
 
+def _floats(row) -> list[float]:
+    if type(row) is not list or not (kinds := set(map(type, row))) <= {float, int}:
+        raise ValueError("chosen and rejected must be lists of numbers")
+    return [float(v) for v in row] if int in kinds else row
+
+
 def read_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    """Parse and validate a JSONL dataset; every malformed line is a DatasetFormatError."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -237,26 +229,38 @@ def read_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"bad meta line: {exc}", line=1) from exc
     if not isinstance(meta, dict) or "n" not in meta:
         raise DatasetFormatError("meta line must be an object with an 'n' field", line=1)
-    dim = None
-    if "domain" in meta:
-        dom = domain_from_dict(meta["domain"])
-        dim = dom.dim
-    records = []
+    try:
+        dim = domain_from_dict(meta["domain"]).dim if "domain" in meta else None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetFormatError(f"bad domain in meta line: {exc!r}", line=1) from exc
+    source = "domain"
+    chosen, rejected = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
             obj = _jsonio.loads(raw)
-            rec = ChoiceRecord(tuple(obj["chosen"]), tuple(obj["rejected"]))
-        except (ValueError, KeyError, TypeError) as exc:
+            c, r = _floats(obj["chosen"]), _floats(obj["rejected"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise DatasetFormatError(f"bad record: {exc}", line=lineno) from exc
-        if dim is not None and len(rec.chosen) != dim:
+        if len(c) != len(r):
             raise DatasetFormatError(
-                f"record dimension {len(rec.chosen)} != domain dimension {dim}",
-                line=lineno,
+                f"chosen has dimension {len(c)} but rejected {len(r)}", line=lineno
             )
-        records.append(rec)
-    if len(records) != meta["n"]:
+        if dim is None:
+            dim, source = len(c), "first record"
+        if len(c) != dim:
+            raise DatasetFormatError(
+                f"record dimension {len(c)} != {source} dimension {dim}", line=lineno
+            )
+        chosen.append(c)
+        rejected.append(r)
+    if len(chosen) != meta["n"]:
         raise DatasetFormatError(
-            f"meta says n={meta['n']} but found {len(records)} records",
+            f"meta says n={meta['n']} but found {len(chosen)} records",
             line=len(lines),
         )
-    return Dataset(records, meta)
+    shape = (len(chosen), dim or 0)
+    chosen, rejected = np.array(chosen).reshape(shape), np.array(rejected).reshape(shape)
+    bad = np.flatnonzero(~(np.isfinite(chosen) & np.isfinite(rejected)).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError("bad record: non-finite value", line=int(bad[0]) + 2)
+    return Dataset(chosen, rejected, meta)

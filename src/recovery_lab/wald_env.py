@@ -113,19 +113,20 @@ class ConeDomain:
                 return x
         raise RejectionCapError(CAP_MESSAGE.format(max_tries))
 
-    def sample_batch(self, rng: np.random.Generator, n: int, max_tries: int = 200) -> np.ndarray:
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points, each the first accepted try after the previous one, as
+        ``sample`` draws them, with the same cap of MAX_TRIES tries per point."""
         out = np.empty((n, self.d))
-        filled = 0
-        for _ in range(max_tries):
-            if filled >= n:
-                break
+        filled = misses = 0  # misses: rejected tries since the last accepted one
+        while filled < n:
             draw = rng.uniform(0.0, self.M, size=(max(n - filled, 64), self.d))
-            good = draw[self.contains_batch(draw)]
-            take = min(len(good), n - filled)
-            out[filled : filled + take] = good[:take]
-            filled += take
-        if filled < n:
-            raise RejectionCapError("batch rejection sampling stalled; degenerate parameters")
+            hits = np.flatnonzero(self.contains_batch(draw))[: n - filled]
+            waits = np.diff(hits, prepend=-1 - misses) - 1  # rejected tries before each point
+            misses = len(draw) - 1 - hits[-1] if hits.size else misses + len(draw)
+            out[filled : filled + hits.size] = draw[hits]
+            filled += hits.size
+            if np.any(waits >= MAX_TRIES) or (filled < n and misses >= MAX_TRIES):
+                raise RejectionCapError(CAP_MESSAGE.format(MAX_TRIES))
         return out
 
     def to_dict(self) -> dict:
@@ -149,14 +150,6 @@ def _check_dim(x, d: int) -> np.ndarray:
     if x.shape != (d,):
         raise ShapeMismatchError(f"expected vector of dimension {d}, got shape {x.shape}")
     return x
-
-
-def contains(domain: Domain, x) -> bool:
-    return domain.contains(x)
-
-
-def sample(domain: Domain, rng: np.random.Generator) -> np.ndarray:
-    return domain.sample(rng)
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,9 @@ class WaldUtility:
         return tuple(self.weights)
 
     def value(self, x) -> float:
-        return u_eval(self, x)
+        """Utility of a single bundle."""
+        x = _check_dim(x, self.dim)
+        return float(self.value_batch(x[None, :])[0])
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of x."""
@@ -234,12 +229,6 @@ class WaldUtility:
     @staticmethod
     def from_dict(d: dict) -> "WaldUtility":
         return WaldUtility(d["kind"], tuple(d["weights"]), d.get("rho"))
-
-
-def u_eval(u: WaldUtility, x) -> float:
-    """Utility of a single bundle."""
-    x = _check_dim(x, u.dim)
-    return float(u.value_batch(x[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -356,17 +345,14 @@ def wald_check(
 ) -> WaldCheckReport:
     """Sample the domain and measure |u(u(x)*1) - u(x)| and |u(tx) - t u(x)|."""
     rng = np.random.default_rng([seed, 2**16])
-    max_wald = 0.0
-    max_hom = 0.0
-    inside = 0
-    for _ in range(n_points):
-        x = domain.sample(rng)
-        v = u_eval(u, x)
-        max_wald = max(max_wald, abs(u_eval(u, np.full(domain.dim, v)) - v))
-        if domain.contains(np.full(domain.dim, v)):
-            inside += 1
-        for theta in (0.25, 0.5, 0.75):
-            max_hom = max(max_hom, abs(u_eval(u, theta * x) - theta * v))
+    x = domain.sample_batch(rng, n_points)
+    v = u.value_batch(x)
+    certain = np.repeat(v[:, None], domain.dim, axis=1)  # the bundles u(x) * 1
+    max_wald = float(np.max(np.abs(u.value_batch(certain) - v), initial=0.0))
+    inside = int(np.count_nonzero(domain.contains_batch(certain)))
+    theta = np.array([0.25, 0.5, 0.75])[:, None]
+    scaled = u.value_batch((theta[:, :, None] * x).reshape(-1, domain.dim)).reshape(3, -1)
+    max_hom = float(np.max(np.abs(scaled - theta * v), initial=0.0))
     return WaldCheckReport(max_wald, max_hom, inside / n_points, n_points)
 
 

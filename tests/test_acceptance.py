@@ -229,7 +229,7 @@ def test_c05_noise_model_contract():
     n, theta = 100_000, 0.75
     ds = generate_dataset(BOX, u, ConstantFlip(theta), n, seed=105)
     freq = float(
-        np.mean(u.value_batch(ds.chosen_matrix()) > u.value_batch(ds.rejected_matrix()))
+        np.mean(u.value_batch(ds.chosen) > u.value_batch(ds.rejected))
     )
     sigma = math.sqrt(theta * (1 - theta) / n)
     ok &= abs(freq - theta) <= 3 * sigma

@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 from recovery_lab.experiments.cli import cli_main
+from test_noisy_choice import BAD_RECORDS, GOOD_RECORD
 
 CONE = {"cone": {"alpha": 0.1, "M": 1.0, "d": 2}}
 BOX = {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}
@@ -257,3 +258,62 @@ class TestBoundaryValidation:
             "numerical guard: rejection sampling failed after 10000 tries; "
             "domain parameters look degenerate\n"
         )
+
+    def test_sample_batch_cap_matches_generation(self, tmp_path):
+        # about 1.4% of tries land in this cone: both samplers allow 10,000 tries per point
+        cone = {"cone": {"alpha": 0.5, "M": 1.0, "d": 3}}
+        pref = {"kind": "linear", "weights": [0.25, 0.25, 0.5]}
+        gen = {**self.GEN, "n": 2000, "domain": cone, "preference": pref}
+        sep = {
+            "version": 1, "seed": 0, "domain": cone, "family": {"linear": {"weight_steps": 2}},
+            "noise": FLIP, "n_pairs": 2, "m": 2000,
+        }
+        for command, cfg in (("gen", gen), ("separation", sep)):
+            path = write_cfg(tmp_path, f"{command}.json", cfg)
+            assert cli_main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+
+    def test_degenerate_cone_batch_sampling_exits_three(self, tmp_path, capsys):
+        # the random shattering trials draw their problems with sample_batch
+        cfg = {
+            "version": 1, "seed": 0, "domain": {"cone": {"alpha": 0.7071, "M": 1.0, "d": 2}},
+            "family": {"linear": {"weight_steps": 2}}, "k": 2, "trials": 1,
+        }
+        path = write_cfg(tmp_path, "v.json", cfg)
+        assert cli_main(["vc", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical guard: rejection sampling failed after 10000 tries; "
+            "domain parameters look degenerate\n"
+        )
+
+
+class TestFitInputs:
+    def fit(self, tmp_path, dataset_lines, domain=None):
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(dataset_lines) + "\n", encoding="utf-8")
+        cfg = {"version": 1, "dataset": str(data), "family": {"linear": {"weight_steps": 4}}}
+        if domain is not None:
+            cfg["domain"] = domain
+        path = write_cfg(tmp_path, "f.json", cfg)
+        return cli_main(["fit", "--config", path, "--out", str(tmp_path / "o")])
+
+    def assert_one_line(self, capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and all(w in err for w in words), err
+
+    def test_malformed_records_exit_two_naming_the_line(self, tmp_path, capsys):
+        meta = '{"format": "choice-dataset/1", "n": 2}'
+        for bad in BAD_RECORDS:
+            assert self.fit(tmp_path, [meta, GOOD_RECORD, bad], domain=BOX) == 2, bad
+            self.assert_one_line(capsys, "line 3")
+
+    def test_record_dimension_differs_from_config_domain(self, tmp_path, capsys):
+        meta = '{"format": "choice-dataset/1", "n": 1}'
+        record = '{"chosen": [0.5, 0.25, 0.1], "rejected": [0.25, 0.5, 0.1]}'
+        assert self.fit(tmp_path, [meta, record], domain=BOX) == 2
+        self.assert_one_line(capsys, "dimension 3")
+
+    def test_missing_domain(self, tmp_path, capsys):
+        meta = '{"format": "choice-dataset/1", "n": 1}'
+        assert self.fit(tmp_path, [meta, GOOD_RECORD]) == 2
+        self.assert_one_line(capsys, "domain")

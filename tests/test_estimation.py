@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from recovery_lab.errors import CombinatorialCapError, EmptyGridError
+from recovery_lab.errors import CombinatorialCapError, EmptyGridError, ShapeMismatchError
 from recovery_lab.estimation import (
     BoundParams,
     bound_eval,
@@ -21,7 +21,6 @@ from recovery_lab.estimation import (
     vc_lower_bound,
 )
 from recovery_lab.noisy_choice import (
-    ChoiceRecord,
     ConstantFlip,
     Dataset,
     generate_dataset,
@@ -42,14 +41,21 @@ CES_FAMILY = UtilityFamily("ces", CONE, weight_steps=8, rho_grid=(0.5, 2.0))
 
 def noiseless_dataset(u: WaldUtility, domain, n, seed):
     rng = np.random.default_rng(seed)
-    records = []
+    chosen, rejected = [], []
     for _ in range(n):
         x, y = domain.sample(rng), domain.sample(rng)
         if u.value(x) >= u.value(y):
-            records.append(ChoiceRecord(tuple(x), tuple(y)))
+            chosen.append(x), rejected.append(y)
         else:
-            records.append(ChoiceRecord(tuple(y), tuple(x)))
-    return Dataset(records, {"format": "choice-dataset/1", "n": n})
+            chosen.append(y), rejected.append(x)
+    return Dataset(np.array(chosen), np.array(rejected), {"format": "choice-dataset/1", "n": n})
+
+
+# one problem presented twice, choosing a different option each time
+CONTRADICTORY = Dataset(
+    np.array([[1.0, 0.2], [0.1, 0.3]]), np.array([[0.1, 0.3], [1.0, 0.2]]), {"n": 2}
+)
+EMPTY = Dataset(np.empty((0, 2)), np.empty((0, 2)), {"n": 0})
 
 
 class TestEmpiricalScore:
@@ -59,15 +65,13 @@ class TestEmpiricalScore:
         assert empirical_score(u, ds) == 1.0
 
     def test_contradictory_pair_scores_half(self):
-        rec = ChoiceRecord((1.0, 0.2), (0.1, 0.3))
-        rev = ChoiceRecord((0.1, 0.3), (1.0, 0.2))
-        ds = Dataset([rec, rev], {"n": 2})
+        ds = CONTRADICTORY
         for u in LIN_FAMILY.members():
-            if u.value(np.array(rec.chosen)) != u.value(np.array(rec.rejected)):
+            if u.value(ds.chosen[0]) != u.value(ds.rejected[0]):
                 assert empirical_score(u, ds) == 0.5
 
     def test_empty_dataset_convention(self):
-        ds = Dataset([], {"n": 0})
+        ds = EMPTY
         assert empirical_score(LIN_FAMILY.members()[0], ds) == 1.0
 
     def test_score_times_n_is_integer(self):
@@ -96,16 +100,14 @@ class TestErmFit:
         assert empirical_score(result.best, ds) == 1.0
 
     def test_empty_dataset_lexicographic_minimum(self):
-        ds = Dataset([], {"n": 0})
+        ds = EMPTY
         result = erm_fit(LIN_FAMILY, ds)
         assert result.score == 1.0
         lex_min = min(LIN_FAMILY.members(), key=lambda m: m.param_tuple())
         assert result.best == lex_min
 
     def test_contradictory_dataset(self):
-        rec = ChoiceRecord((1.0, 0.2), (0.1, 0.3))
-        rev = ChoiceRecord((0.1, 0.3), (1.0, 0.2))
-        ds = Dataset([rec, rev], {"n": 2})
+        ds = CONTRADICTORY
         result = erm_fit(LIN_FAMILY, ds)
         assert result.score == 0.5
         assert result.best == min(LIN_FAMILY.members(), key=lambda m: m.param_tuple())
@@ -124,11 +126,17 @@ class TestErmFit:
         a, b = erm_fit(CES_FAMILY, ds), erm_fit(CES_FAMILY, ds)
         assert a == b
 
+    def test_record_dimension_must_match_family(self):
+        u = WaldUtility("linear", (0.2, 0.3, 0.5))
+        ds = generate_dataset(BoxDomain.unit(3), u, ConstantFlip(0.8), 10, seed=6)
+        with pytest.raises(ShapeMismatchError):
+            erm_fit(LIN_FAMILY, ds)
+
     def test_empty_grid_raises(self):
         fam = UtilityFamily("cobb_douglas", BOX, weight_steps=1)
         assert fam.members() == []
         with pytest.raises(EmptyGridError):
-            erm_fit(fam, Dataset([], {"n": 0}))
+            erm_fit(fam, EMPTY)
 
 
 class TestRho:
@@ -248,7 +256,46 @@ class TestSeparation:
         assert scan.rows == ()
 
 
+def reference_vc_lower_bound(family, domain, k, trials, seed):
+    """The per-problem draws and per-labeling loop the batched search replaced."""
+    members = family.members()
+
+    def shattered(problems):
+        xs, ys = np.stack([x for x, _ in problems]), np.stack([y for _, y in problems])
+        vx = np.stack([m.value_batch(xs) for m in members])
+        vy = np.stack([m.value_batch(ys) for m in members])
+        for labeling in range(2 ** len(problems)):
+            bits = np.array([(labeling >> j) & 1 for j in range(len(problems))], dtype=bool)
+            if not np.where(bits, vy >= vx, vx >= vy).all(axis=1).any():
+                return False
+        return True
+
+    for k_try in range(k, 0, -1):
+        for t in range(trials):
+            rng = np.random.default_rng([seed, k_try, t])
+            if shattered([(domain.sample(rng), domain.sample(rng)) for _ in range(k_try)]):
+                return k_try
+    return 0
+
+
+THIN_CONE = ConeDomain(0.5, 1.0, 3)
+VC_CASES = {
+    "box-linear2": (UtilityFamily("linear", BOX, weight_steps=2), BOX),
+    "box-linear8": (LIN_FAMILY, BOX),
+    "cone-ces": (CES_FAMILY, CONE),
+    "cone-cobb_douglas": (UtilityFamily("cobb_douglas", CONE, weight_steps=4), CONE),
+    "thin_cone-linear": (UtilityFamily("linear", THIN_CONE, weight_steps=2), THIN_CONE),
+}
+
+
 class TestVcLowerBound:
+    @pytest.mark.parametrize("case", sorted(VC_CASES))
+    def test_matches_the_per_problem_search(self, case):
+        family, domain = VC_CASES[case]
+        for seed in range(6):
+            args = (family, domain, 1 + seed % 3, 4, seed)
+            assert vc_lower_bound(*args) == reference_vc_lower_bound(*args)
+
     def test_singleton_family_is_zero(self):
         singleton = UtilityFamily("cobb_douglas", BOX, weight_steps=2)
         assert len(singleton.members()) == 1

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
+from recovery_lab import wald_env
 from recovery_lab.errors import RejectionCapError, ShapeMismatchError
 from recovery_lab.wald_env import (
     BoxDomain,
     ConeDomain,
     UtilityFamily,
     WaldUtility,
-    contains,
     domain_from_dict,
     lattice_points,
     lipschitz_estimate,
-    sample,
-    u_eval,
     validate_family_kappa,
     wald_check,
 )
@@ -26,13 +24,13 @@ BOX = BoxDomain.unit(2)
 class TestDomains:
     def test_cone_membership_formula(self):
         # ||(0.5, 0.5)|| ~ 0.707 <= 1 and min 0.5 >= 0.0707
-        assert contains(CONE, (0.5, 0.5))
+        assert CONE.contains((0.5, 0.5))
 
     def test_origin_is_member(self):
-        assert contains(CONE, (0.0, 0.0))
+        assert CONE.contains((0.0, 0.0))
 
     def test_floor_violation_on_sphere_ray(self):
-        assert not contains(CONE, (1.0, 0.0))
+        assert not CONE.contains((1.0, 0.0))
 
     def test_cone_matches_two_parameter_construction(self):
         # oracle: x is in the domain iff x = theta * s with ||s|| = M and
@@ -44,7 +42,7 @@ class TestDomains:
             s = raw / np.linalg.norm(raw) * CONE.M
             if np.min(s) < CONE.alpha:  # not on the sphere patch
                 continue
-            assert contains(CONE, theta * s)
+            assert CONE.contains(theta * s)
         for _ in range(500):
             x = rng.uniform(0, CONE.M, size=2)
             norm = np.linalg.norm(x)
@@ -52,7 +50,7 @@ class TestDomains:
             if member and norm > 0:
                 s = x / norm * CONE.M
                 assert np.min(s) >= CONE.alpha - 1e-12 and np.linalg.norm(s) == pytest.approx(1.0)
-            assert contains(CONE, x) == member
+            assert CONE.contains(x) == member
 
     def test_cone_nonempty_invariant(self):
         with pytest.raises(ValueError):
@@ -60,13 +58,13 @@ class TestDomains:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            contains(CONE, (0.1, 0.1, 0.1))
+            CONE.contains((0.1, 0.1, 0.1))
 
     def test_box_sampling_reproducible(self):
-        a = sample(BOX, np.random.default_rng(42))
-        b = sample(BOX, np.random.default_rng(42))
+        a = BOX.sample(np.random.default_rng(42))
+        b = BOX.sample(np.random.default_rng(42))
         assert np.array_equal(a, b)
-        assert contains(BOX, a)
+        assert BOX.contains(a)
 
     def test_cone_samples_are_members(self):
         rng = np.random.default_rng(1)
@@ -92,13 +90,45 @@ class TestDomains:
         with pytest.raises(RejectionCapError):
             thin.sample(np.random.default_rng(3), max_tries=2)
 
+    # caps that trip on some draws only: about 1.4% of tries land in the thin
+    # cone and 69% in CONE, where a tripping wait often equals the cap exactly
+    @pytest.mark.parametrize("alpha, d, cap", [(0.5, 3, 60), (0.5, 3, 150), (0.5, 3, 400),
+                                               (0.1, 2, 1), (0.1, 2, 2), (0.1, 2, 3)])
+    def test_sample_batch_follows_the_scalar_sampler(self, monkeypatch, alpha, d, cap):
+        cone = ConeDomain(alpha=alpha, M=1.0, d=d)
+        monkeypatch.setattr(wald_env, "MAX_TRIES", cap)
+        outcomes = set()
+        for seed in range(20):
+            for n in (1, 5, 70):
+                rng = np.random.default_rng([seed, n])
+                try:
+                    want = np.array([cone.sample(rng, max_tries=cap) for _ in range(n)])
+                except RejectionCapError:
+                    want = None
+                try:
+                    got = cone.sample_batch(np.random.default_rng([seed, n]), n)
+                except RejectionCapError:
+                    got = None
+                assert (want is None) == (got is None)
+                assert want is None or np.array_equal(want, got)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_sample_batch_cap_is_per_point(self):
+        # 2,000 points at 1.4% acceptance take hundreds of shrinking rounds
+        thin = ConeDomain(alpha=0.5, M=1.0, d=3)
+        assert np.all(thin.contains_batch(thin.sample_batch(np.random.default_rng(5), 2000)))
+        degenerate = ConeDomain(alpha=0.7071, M=1.0, d=2)
+        with pytest.raises(RejectionCapError, match="failed after 10000 tries"):
+            degenerate.sample_batch(np.random.default_rng(5), 50)
+
     def test_convexity_witness(self):
         rng = np.random.default_rng(4)
         pts = CONE.sample_batch(rng, 2000)
         for i in range(0, 2000, 2):
             x, y = pts[i], pts[i + 1]
             for t in (0.25, 0.5, 0.75):
-                assert contains(CONE, t * x + (1 - t) * y)
+                assert CONE.contains(t * x + (1 - t) * y)
 
     def test_descriptor_roundtrip(self):
         assert domain_from_dict(CONE.to_dict()) == CONE
@@ -115,24 +145,24 @@ class TestUtilityEval:
         ]:
             for _ in range(20):
                 c = float(rng.uniform(0.01, 1.0))
-                assert u_eval(u, (c, c)) == pytest.approx(c, abs=1e-12)
+                assert u.value((c, c)) == pytest.approx(c, abs=1e-12)
 
     def test_linear_dot(self):
-        assert u_eval(WaldUtility("linear", (0.3, 0.7)), (1.0, 0.0)) == pytest.approx(0.3)
+        assert WaldUtility("linear", (0.3, 0.7)).value((1.0, 0.0)) == pytest.approx(0.3)
 
     def test_ces_formula(self):
         u = WaldUtility("ces", (0.5, 0.5), rho=2.0)
-        assert u_eval(u, (1.0, 0.0)) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert u.value((1.0, 0.0)) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_ces_negative_rho_zero_convention(self):
         u = WaldUtility("ces", (0.5, 0.5), rho=-1.0)
-        assert u_eval(u, (0.0, 1.0)) == 0.0
-        assert u_eval(u, (0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
+        assert u.value((0.0, 1.0)) == 0.0
+        assert u.value((0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_negative_coordinates_rejected(self):
         u = WaldUtility("ces", (0.5, 0.5), rho=0.5)
         with pytest.raises(ValueError):
-            u_eval(u, (-0.1, 0.5))
+            u.value((-0.1, 0.5))
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -154,10 +184,45 @@ class TestUtilityEval:
             for _ in range(250):
                 x = rng.uniform(0.01, 1.0, size=2)
                 for theta in (0.25, 0.5, 0.75):
-                    assert abs(u_eval(u, theta * x) - theta * u_eval(u, x)) <= 1e-12
+                    assert abs(u.value(theta * x) - theta * u.value(x)) <= 1e-12
+
+
+def reference_wald_check(u, domain, n_points, seed=0):
+    """The per-point loop the batched check replaced."""
+    rng = np.random.default_rng([seed, 2**16])
+    max_wald = max_hom = 0.0
+    inside = 0
+    for _ in range(n_points):
+        x = domain.sample(rng)
+        v = u.value(x)
+        certain = np.full(domain.dim, v)
+        max_wald = max(max_wald, abs(u.value(certain) - v))
+        inside += domain.contains(certain)
+        for theta in (0.25, 0.5, 0.75):
+            max_hom = max(max_hom, abs(u.value(theta * x) - theta * v))
+    return max_wald, max_hom, inside / n_points
 
 
 class TestWaldCheck:
+    @pytest.mark.parametrize(
+        "u, domain",
+        [
+            (WaldUtility("linear", (0.3, 0.7)), BOX),
+            (WaldUtility("ces", (0.5, 0.5), rho=2.0), CONE),
+            (WaldUtility("ces", (0.25, 0.75), rho=-1.5), CONE),
+            (WaldUtility("cobb_douglas", (0.4, 0.6)), BOX),
+            (WaldUtility("ces", (0.2, 0.3, 0.5), rho=0.5), ConeDomain(0.5, 1.0, 3)),
+        ],
+    )
+    def test_matches_the_per_point_loop(self, u, domain):
+        # matmul over many rows may round differently from one row in the last bit
+        tol = 8 * np.finfo(float).eps
+        rep = wald_check(u, domain, 300, seed=7)
+        wald, hom, frac = reference_wald_check(u, domain, 300, seed=7)
+        assert rep.frac_certainty_in_domain == frac and rep.n_points == 300
+        assert abs(rep.max_wald_violation - wald) <= tol
+        assert abs(rep.max_homogeneity_violation - hom) <= tol
+
     def test_linear_on_box_exact(self):
         rep = wald_check(WaldUtility("linear", (0.3, 0.7)), BOX, 200)
         assert rep.max_wald_violation <= 1e-15  # exact identity up to rounding
@@ -169,8 +234,8 @@ class TestWaldCheck:
 
     def test_cobb_douglas_halving(self):
         u = WaldUtility("cobb_douglas", (0.5, 0.5))
-        assert u_eval(u, (1.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
-        assert u_eval(u, (0.5, 2.0)) == pytest.approx(1.0, abs=1e-12)
+        assert u.value((1.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
+        assert u.value((0.5, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLipschitz:
