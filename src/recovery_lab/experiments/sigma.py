@@ -16,8 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from ..aa_prefs import AAPreference, Act, act_value, expected_utility
-from ..errors import EnumerationCapError, ShapeMismatchError
+# expected_utility is no longer called here, but perfbench's traced run
+# patches it on this module, so the name stays bound
+from ..aa_prefs import AAPreference, Act, act_value, expected_utility  # noqa: F401
+from ..errors import EnumerationCapError, IntervalMismatchError, ShapeMismatchError
 from ..lotteries import Interval, Lottery, enumerate_rational_lotteries
 
 #: Two act values within this tolerance count as indifferent.
@@ -101,22 +103,29 @@ def build_sigma(
 def universe_values(prefs: list[AAPreference], sigma: SigmaSequence) -> np.ndarray:
     """Value of every universe act under every preference, shape (P, m).
 
-    Expected-utility preferences take a vectorized path through the shared
-    lottery table; other kinds fall back to direct act evaluation.
+    Expected-utility preferences take a vectorized path: each distinct index
+    is interpolated once on the lotteries' money points, and the lottery
+    table is formed from those values; other kinds fall back to direct act
+    evaluation.
     """
     act_idx = np.asarray(sigma.act_indices)
     if all(p.kind == "eu" for p in prefs):
-        index_key = {}
-        rows = []
-        for p in prefs:
-            key = (p.index.knots, p.index.values)
-            if key not in index_key:
-                index_key[key] = len(index_key)
-            rows.append(index_key[key])
-        eu_table = np.empty((len(index_key), len(sigma.base_lotteries)))
-        for key, r in index_key.items():
-            idx = next(p.index for p in prefs if (p.index.knots, p.index.values) == key)
-            eu_table[r] = [expected_utility(idx, lot) for lot in sigma.base_lotteries]
+        keys = [(p.index.knots, p.index.values) for p in prefs]
+        indices = dict(zip(keys, (p.index for p in prefs)))  # equal keys, equal indices
+        row_of = {key: r for r, key in enumerate(indices)}
+        rows = [row_of[key] for key in keys]
+        if any(u.interval != sigma.interval for u in indices.values()):
+            raise IntervalMismatchError("lottery and index on different intervals")
+        lots = sigma.base_lotteries
+        points = np.unique(np.concatenate([lot.support_array for lot in lots]))
+        u_points = np.stack([u(points) for u in indices.values()])  # (U, G)
+        eu_table = np.empty((len(indices), len(lots)))
+        for c, lot in enumerate(lots):
+            # one contiguous dot per entry, the same dot expected_utility takes:
+            # a matmul rounds some entries differently in the last bit
+            at = np.searchsorted(points, lot.support_array)
+            u_support = np.ascontiguousarray(u_points[:, at])
+            eu_table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
         statewise = eu_table[np.asarray(rows)][:, act_idx]  # (P, m, S)
         priors = np.stack([p.prior.as_array for p in prefs])  # (P, S)
         return np.einsum("pms,ps->pm", statewise, priors)

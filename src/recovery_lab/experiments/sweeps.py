@@ -126,7 +126,10 @@ def run_fit(cfg: dict) -> SweepOutput:
     spec = cfg.get("domain") or ds.meta.get("domain")
     if spec is None:
         raise ConfigError("domain is missing: the dataset's meta line has none; set it in the config")
-    domain = domain_from_dict(spec)
+    try:
+        domain = domain_from_dict(spec)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"domain: bad descriptor {spec!r}: {exc!r}") from None
     family = UtilityFamily.from_dict(cfg["family"], domain)
     start = time.perf_counter()
     result = erm_fit(family, ds, refinements=int(cfg.get("refinements", 2)))
@@ -246,76 +249,103 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
+def _truncation(field: str, denominator_bound, grid_count) -> tuple[int, int]:
+    """One truncation level's (denominator_bound, grid_count), checked."""
+    den, gc = int(denominator_bound), int(grid_count)
+    if den < 1 or gc < 2:
+        raise ConfigError(
+            f"{field} needs denominator_bound >= 1 and grid_count >= 2, got {den} and {gc}"
+        )
+    return den, gc
+
+
+def _candidates(cfg: dict, interval: Interval, states: int) -> list[AAPreference]:
+    """The config's candidate grid: nonempty, over the config's states."""
+    if states < 1:
+        raise ConfigError(f"states must be >= 1, got {states}")
+    grid = grid_from_config(cfg["candidates"], interval)
+    if not grid:
+        raise ConfigError("candidates: the grid is empty")
+    if grid[0].states.n_states != states:
+        raise ConfigError(
+            f"candidates: the grid has {grid[0].states.n_states} states but states is {states}"
+        )
+    return grid
+
+
+def _codes(d: np.ndarray) -> np.ndarray:
+    """Choice codes of value differences: 0 tie, 1 first act, 2 second act."""
+    return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
+
+
 def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
     start = time.perf_counter()
     interval = _interval(cfg)
     states = int(cfg["states"])
     trunc = cfg["truncation"]
+    den, gc = _truncation("truncation", trunc["denominator_bound"], trunc["grid_count"])
     k_grid = sorted(int(k) for k in cfg["k_grid"])
+    if not k_grid or k_grid[0] < 0:
+        raise ConfigError(f"k_grid must list non-negative pair counts, got {k_grid}")
     replicates = int(cfg.get("replicates", 3))
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     seed = int(cfg.get("seed", 0))
     dis_m = int(cfg.get("disagreement_m", 4000))
-    candidates = grid_from_config(cfg["candidates"], interval)
+    if dis_m < 1:
+        raise ConfigError(f"disagreement_m must be >= 1, got {dis_m}")
+    candidates = _candidates(cfg, interval, states)
     true_index = int(cfg["true_index"])
+    if not 0 <= true_index < len(candidates):
+        raise ConfigError(
+            f"true_index must lie in [0, {len(candidates)}), the candidate grid, got {true_index}"
+        )
     true = candidates[true_index]
 
-    probe = build_sigma(
-        states, interval, int(trunc["denominator_bound"]), int(trunc["grid_count"]), k=1
-    )
-    m_universe = probe.universe_size
+    m_universe = build_sigma(states, interval, den, gc, k=1).universe_size
 
     def one_replicate(rep: int):
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
         sig = build_sigma(
             states,
             interval,
-            int(trunc["denominator_bound"]),
-            int(trunc["grid_count"]),
+            den,
+            gc,
             k=max(k_grid[-1], 1),  # a k=0 cell is a vacuous constraint
             permutation=perm,
         )
         values = universe_values(candidates, sig)
         v_true = values[true_index]
-        pi = np.array([p[0] for p in sig.pairs])
-        pj = np.array([p[1] for p in sig.pairs])
-
-        def codes(mat):
-            d = mat[..., pi] - mat[..., pj]
-            return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
-
-        data_codes = codes(v_true)
-        cand_codes = codes(values)
+        pairs = np.asarray(sig.pairs)
         rng2 = np.random.default_rng([seed, rep, 1])
         ii = rng2.integers(0, m_universe, dis_m)
         jj = rng2.integers(0, m_universe, dis_m)
-        d_true = v_true[ii] - v_true[jj]
-        d_all = values[:, ii] - values[:, jj]
-        disag = np.mean(
-            ((d_all > 0) & (d_true < 0)) | ((d_all < 0) & (d_true > 0)), axis=1
-        )
-        dv_all = np.max(np.abs(values - v_true), axis=1)
-        du_all = np.array([index_distance(c.index, true.index) for c in candidates])
-        alive = np.ones(len(candidates), dtype=bool)
+        # Survivors nest as k grows, so each cell codes only its new pairs and
+        # only the rows still alive, and the per-row statistics are computed
+        # once, for the rows alive at the first cell.
+        alive = np.arange(len(candidates))
+        worst = None  # (disagreement, dv, du) per candidate row
         out = []
         prev = 0
         for k in k_grid:
-            alive &= np.all(cand_codes[:, prev:k] == data_codes[prev:k], axis=1)
+            pi, pj = pairs[prev:k].T
+            cand = _codes(values[np.ix_(alive, pi)] - values[np.ix_(alive, pj)])
+            alive = alive[np.all(cand == _codes(v_true[pi] - v_true[pj]), axis=1)]
             prev = k
-            n_alive = int(alive.sum())
-            if n_alive == 0:
+            if len(alive) == 0:
                 out.append((k, rep, 0, math.nan, math.nan, math.nan, True))
                 continue
-            out.append(
-                (
-                    k,
-                    rep,
-                    n_alive,
-                    float(disag[alive].max()),
-                    float(dv_all[alive].max()),
-                    float(du_all[alive].max()),
-                    False,
+            if worst is None:
+                d_true = v_true[ii] - v_true[jj]
+                d_all = values[np.ix_(alive, ii)] - values[np.ix_(alive, jj)]
+                worst = np.empty((3, len(candidates)))
+                worst[0, alive] = np.mean(
+                    ((d_all > 0) & (d_true < 0)) | ((d_all < 0) & (d_true > 0)), axis=1
                 )
-            )
+                worst[1, alive] = np.max(np.abs(values[alive] - v_true), axis=1)
+                worst[2, alive] = [index_distance(candidates[r].index, true.index) for r in alive]
+            d, dv, du = worst[:, alive].max(axis=1).tolist()
+            out.append((k, rep, len(alive), d, dv, du, False))
         return out
 
     all_rows = [
@@ -415,7 +445,7 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
     k_max = int(cfg.get("k_max", 12))
     trunc = cfg.get("act_truncation", {"denominator_bound": 2, "grid_count": 3})
     z_steps = int(cfg.get("z_steps", 8))
-    den, gc = int(trunc["denominator_bound"]), int(trunc["grid_count"])
+    den, gc = _truncation("act_truncation", trunc["denominator_bound"], trunc["grid_count"])
     grid = list(build_sigma(2, UNIT, den, gc, k=1).universe)
     csv_rows = []
     cells = []
@@ -589,8 +619,8 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
     start = time.perf_counter()
     interval = _interval(cfg)
     states = int(cfg["states"])
-    members = grid_from_config(cfg["candidates"], interval)
-    schedule = [(int(d), int(g)) for d, g in cfg["schedule"]]
+    members = _candidates(cfg, interval, states)
+    schedule = [_truncation(f"schedule[{i}]", d, g) for i, (d, g) in enumerate(cfg["schedule"])]
     pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
     level_found = {p: -1 for p in pairs}
     for level, (den, gc) in enumerate(schedule):

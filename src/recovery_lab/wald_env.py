@@ -344,6 +344,8 @@ def wald_check(
     u: WaldUtility, domain: Domain, n_points: int, seed: int = 0
 ) -> WaldCheckReport:
     """Sample the domain and measure |u(u(x)*1) - u(x)| and |u(tx) - t u(x)|."""
+    if n_points < 1:
+        raise ValueError(f"wald_check needs n_points >= 1, got {n_points}")
     rng = np.random.default_rng([seed, 2**16])
     x = domain.sample_batch(rng, n_points)
     v = u.value_batch(x)

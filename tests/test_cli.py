@@ -4,7 +4,10 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from recovery_lab.experiments.cli import cli_main
+from test_acceptance import CLI_CONFIGS
 from test_noisy_choice import BAD_RECORDS, GOOD_RECORD
 
 CONE = {"cone": {"alpha": 0.1, "M": 1.0, "d": 2}}
@@ -317,3 +320,81 @@ class TestFitInputs:
         meta = '{"format": "choice-dataset/1", "n": 1}'
         assert self.fit(tmp_path, [meta, GOOD_RECORD]) == 2
         self.assert_one_line(capsys, "domain")
+
+    def test_malformed_config_domain(self, tmp_path, capsys):
+        meta = '{"format": "choice-dataset/1", "n": 1}'
+        for domain in ({"box": {}}, {"cone": {"alpha": 0.1}}, {"sphere": {}}, "box", {"box": None}):
+            assert self.fit(tmp_path, [meta, GOOD_RECORD], domain=domain) == 2, domain
+            self.assert_one_line(capsys, "domain")
+
+
+def assert_one_line_config_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err and all(w in err for w in words), err
+
+
+RECOVERY = CLI_CONFIGS["recovery"]
+EU_GRID = RECOVERY["candidates"]["eu_grid"]
+
+# field overrides -> the field the one-line message names
+BAD_RECOVERY = [
+    ({"replicates": 0}, "replicates"),
+    ({"true_index": 11}, "true_index"),  # the grid has C(11, 1) = 11 members
+    ({"true_index": -1}, "true_index"),
+    ({"k_grid": []}, "k_grid"),
+    ({"k_grid": [-1, 5]}, "k_grid"),
+    ({"disagreement_m": 0}, "disagreement_m"),
+    ({"candidates": {"eu_grid": {**EU_GRID, "states": 2}}}, "candidates"),
+    ({"candidates": {"eu_grid": {**EU_GRID, "value_steps": 1}}}, "candidates"),
+    ({"states": 0}, "states"),
+    ({"truncation": {"denominator_bound": 2, "grid_count": 1}}, "truncation"),
+    ({"truncation": {"denominator_bound": 0, "grid_count": 3}}, "truncation"),
+]
+
+
+class TestRecoveryConfig:
+    @pytest.mark.parametrize("over, field", BAD_RECOVERY)
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, over, field):
+        path = write_cfg(tmp_path, "r.json", {**RECOVERY, **over})
+        assert cli_main(["recovery", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_config_error(capsys, field)
+        assert not (tmp_path / "o").exists()
+
+    def test_replicates_flag_zero(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "r.json", RECOVERY)
+        argv = ["recovery", "--config", path, "--replicates", "0", "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
+        assert_one_line_config_error(capsys, "replicates")
+
+    def test_boundary_values_run(self, tmp_path):
+        # the last grid member, the last available pair and a single draw are valid
+        cfg = {**RECOVERY, "true_index": 10, "k_grid": [0, 15], "disagreement_m": 1, "replicates": 1}
+        path = write_cfg(tmp_path, "r.json", cfg)
+        assert cli_main(["recovery", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+UNIQUENESS_GRID = CLI_CONFIGS["uniqueness"]["candidates"]["eu_grid"]
+
+
+class TestTruncationAndCandidates:
+    @pytest.mark.parametrize(
+        "command, over, words",
+        [
+            ("recovery", {"truncation": {"denominator_bound": 2, "grid_count": 1}},
+             ["truncation", "grid_count"]),
+            ("theorem2", {"act_truncation": {"denominator_bound": 1, "grid_count": 1}},
+             ["act_truncation", "grid_count"]),
+            ("uniqueness", {"schedule": [[1, 2], [2, 1]]}, ["schedule[1]", "grid_count"]),
+            ("uniqueness", {"schedule": [[0, 2]]}, ["schedule[0]", "denominator_bound"]),
+            ("uniqueness", {"candidates": {"eu_grid": {**UNIQUENESS_GRID, "states": 1}}},
+             ["candidates"]),
+            ("uniqueness", {"candidates": {"eu_grid": {**UNIQUENESS_GRID, "value_steps": 1}}},
+             ["candidates"]),
+            ("uniqueness", {"states": 0}, ["states"]),
+        ],
+    )
+    def test_bad_level_or_grid_exits_two(self, tmp_path, capsys, command, over, words):
+        path = write_cfg(tmp_path, "c.json", {**CLI_CONFIGS[command], **over})
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_config_error(capsys, *words)

@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recovery_lab.aa_prefs import AAPreference, BernoulliIndex, Prior
-from recovery_lab.errors import EnumerationCapError
+from recovery_lab.aa_prefs import (
+    AAPreference,
+    BernoulliIndex,
+    Prior,
+    expected_utility,
+    index_distance,
+)
+from recovery_lab.errors import EnumerationCapError, IntervalMismatchError
 from recovery_lab.experiments import (
     build_sigma,
     eu_grid,
     generated_choices,
+    grid_from_config,
     run_bound,
     run_ce_continuity,
     run_consistency,
@@ -20,9 +29,11 @@ from recovery_lab.experiments import (
     universe_values,
     weakly_rationalizes,
 )
+from recovery_lab.experiments.prefgrids import index_value_grid
 from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_order
-from recovery_lab.lotteries import UNIT, delta, fosd_compare
+from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
+from test_acceptance import RECOVERY_CFGS
 
 IDENT = BernoulliIndex.identity()
 
@@ -91,6 +102,44 @@ class TestSigma:
         fast = universe_values(prefs, sig)
         slow = np.array([[act_value(p, a) for a in sig.universe] for p in prefs])
         assert np.allclose(fast, slow, atol=1e-12)
+
+
+def reference_universe_values(prefs, sig):
+    """Values through a per-preference table of scalar expected utilities."""
+    table = np.array([[expected_utility(p.index, lot) for lot in sig.base_lotteries] for p in prefs])
+    priors = np.stack([p.prior.as_array for p in prefs])
+    return np.einsum("pms,ps->pm", table[:, np.asarray(sig.act_indices)], priors)
+
+
+class TestEuTable:
+    TRUNCATIONS = [(4, 4), (2, 3), (6, 5), (3, 7), (5, 2), (1, 2)]
+    SHIFTED = Interval(-1.0, 3.0)
+
+    @pytest.mark.parametrize("den, gc", TRUNCATIONS)
+    @pytest.mark.parametrize("interval", [UNIT, SHIFTED])
+    @pytest.mark.parametrize("count", [1, 2, 165])
+    def test_one_state_values_are_scalar_expected_utility(self, den, gc, interval, count):
+        # with one state an act's value is its lottery's expected utility, bit
+        # for bit; one index, two, and all C(11, 3) = 165 of the grid
+        width = interval.b - interval.a
+        knots = [interval.a + width * x for x in (0.2, 0.45, 0.8)]
+        indices = index_value_grid(interval, knots, 12)[:count]
+        prefs = [AAPreference.eu(u, Prior((1.0,))) for u in indices]
+        sig = build_sigma(1, interval, den, gc, k=1)
+        scalar = [[expected_utility(u, a.per_state[0]) for a in sig.universe] for u in indices]
+        assert np.array_equal(universe_values(prefs, sig), np.array(scalar))
+
+    @pytest.mark.parametrize("den, gc", TRUNCATIONS[:4])
+    def test_two_states_match_the_scalar_table(self, den, gc):
+        # several priors share each index: the deduplicated table must map back exactly
+        prefs = eu_grid(2, UNIT, 3, [1 / 3, 2 / 3], 6)
+        sig = build_sigma(2, UNIT, den, gc, k=1)
+        assert np.array_equal(universe_values(prefs, sig), reference_universe_values(prefs, sig))
+
+    def test_index_on_another_interval_is_rejected(self):
+        pref = AAPreference.eu(BernoulliIndex.identity(self.SHIFTED), Prior((1.0,)))
+        with pytest.raises(IntervalMismatchError):
+            universe_values([pref], build_sigma(1, UNIT, 2, 3, k=1))
 
 
 class TestGeneratedChoices:
@@ -204,6 +253,102 @@ class TestRecoverySweep:
         for k, rep, surv, d, dv, du in out.csv_rows:
             if k == 0:
                 assert surv == n_candidates  # everyone survives the empty experiment
+
+
+def reference_recovery_rows(cfg):
+    """CSV rows of the recovery sweep from full (candidates x pairs) code
+    matrices and per-candidate statistics over the whole grid."""
+    states, trunc = cfg["states"], cfg["truncation"]
+    den, gc = trunc["denominator_bound"], trunc["grid_count"]
+    k_grid = sorted(cfg["k_grid"])
+    seed, dis_m, true_index = cfg["seed"], cfg["disagreement_m"], cfg["true_index"]
+    candidates = grid_from_config(cfg["candidates"], UNIT)
+    true = candidates[true_index]
+    m_universe = build_sigma(states, UNIT, den, gc, k=1).universe_size
+    rows = []
+    for rep in range(cfg["replicates"]):
+        perm = np.random.default_rng([seed, rep]).permutation(m_universe)
+        sig = build_sigma(states, UNIT, den, gc, k=max(k_grid[-1], 1), permutation=perm)
+        values = universe_values(candidates, sig)
+        v_true = values[true_index]
+        pi = np.array([p[0] for p in sig.pairs])
+        pj = np.array([p[1] for p in sig.pairs])
+
+        def codes(mat):
+            d = mat[..., pi] - mat[..., pj]
+            return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
+
+        data_codes = codes(v_true)
+        cand_codes = codes(values)
+        rng2 = np.random.default_rng([seed, rep, 1])
+        ii = rng2.integers(0, m_universe, dis_m)
+        jj = rng2.integers(0, m_universe, dis_m)
+        d_true = v_true[ii] - v_true[jj]
+        d_all = values[:, ii] - values[:, jj]
+        disag = np.mean(((d_all > 0) & (d_true < 0)) | ((d_all < 0) & (d_true > 0)), axis=1)
+        dv_all = np.max(np.abs(values - v_true), axis=1)
+        du_all = np.array([index_distance(c.index, true.index) for c in candidates])
+        alive = np.ones(len(candidates), dtype=bool)
+        prev = 0
+        for k in k_grid:
+            alive &= np.all(cand_codes[:, prev:k] == data_codes[prev:k], axis=1)
+            prev = k
+            n_alive = int(alive.sum())
+            if n_alive == 0:
+                rows.append([k, rep, 0, "", "", ""])
+                continue
+            rows.append(
+                [k, rep, n_alive, float(disag[alive].max()), float(dv_all[alive].max()),
+                 float(du_all[alive].max())]
+            )
+    return rows
+
+
+# states -> (denominator_bound, grid_count) levels with 6 to 4,950 pairs
+LEVELS = {1: [(2, 3), (3, 3), (4, 4)], 2: [(1, 2), (2, 2), (2, 3), (3, 3)]}
+
+
+@st.composite
+def recovery_configs(draw):
+    states = draw(st.integers(1, 2))
+    den, gc = draw(st.sampled_from(LEVELS[states]))
+    m = build_sigma(states, UNIT, den, gc, k=1).universe_size
+    last = m * (m - 1) // 2
+    knots = draw(st.sampled_from([[0.5], [1 / 3, 2 / 3]]))
+    grid = {
+        "states": states,
+        "prior_steps": draw(st.integers(1, 4)),
+        "knot_positions": knots,
+        "value_steps": draw(st.integers(len(knots) + 1, 8)),
+    }
+    n_candidates = len(grid_from_config({"eu_grid": grid}, UNIT))
+    k_grid = draw(st.lists(st.integers(0, last), min_size=1, max_size=4))
+    k_grid += draw(st.sampled_from([[], [0], [last], [0, last]]))
+    return {
+        "version": 1,
+        "seed": draw(st.integers(0, 2**32)),
+        "states": states,
+        "truncation": {"denominator_bound": den, "grid_count": gc},
+        "k_grid": k_grid,
+        "replicates": draw(st.integers(1, 3)),
+        "candidates": {"eu_grid": grid},
+        "true_index": draw(st.integers(0, n_candidates - 1)),
+        "disagreement_m": draw(st.integers(1, 300)),
+    }
+
+
+class TestRecoveryMatchesFullMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=recovery_configs())
+    def test_rows_equal_the_reference(self, cfg):
+        expected = reference_recovery_rows(cfg)
+        assert run_recovery(cfg, threads=1).csv_rows == expected
+        assert run_recovery(cfg, threads=3).csv_rows == expected
+
+    @pytest.mark.parametrize("label", sorted(RECOVERY_CFGS))
+    def test_acceptance_configs(self, label):
+        cfg = RECOVERY_CFGS[label]
+        assert run_recovery(cfg, threads=3).csv_rows == reference_recovery_rows(cfg)
 
 
 class TestConsistencySweep:

@@ -347,12 +347,26 @@ def _without(command, field):
     return command, {k: v for k, v in CLI_CONFIGS[command].items() if k != field}
 
 
+# The recovery benchmark's config (perfbench/workloads.py): 2,783 EU
+# candidates over a 1,225-act universe, most of them eliminated early.
+RECOVERY_BENCH_CFG = {
+    "version": 1, "states": 2,
+    "truncation": {"denominator_bound": 4, "grid_count": 4},
+    "k_grid": [50, 200, 800, 2000], "replicates": 1,
+    "candidates": {
+        "eu_grid": {"states": 2, "prior_steps": 10, "knot_positions": [1 / 3, 2 / 3], "value_steps": 24}
+    },
+    "true_index": 1000, "disagreement_m": 4000,
+}
+
 # case -> (command, config): every subcommand at CLI_CONFIGS, plus the random
-# shattering search that proposals and a fixed vc_dimension skip
+# shattering search that proposals and a fixed vc_dimension skip, plus the
+# recovery benchmark's config at two seeds
 GOLDEN_CASES = {
     **{command: (command, cfg) for command, cfg in CLI_CONFIGS.items()},
     "vc_random": _without("vc", "proposals"),
     "consistency_vc": _without("consistency", "vc_dimension"),
+    **{f"recovery_bench_seed{s}": ("recovery", {**RECOVERY_BENCH_CFG, "seed": s}) for s in (1, 2)},
 }
 
 
@@ -372,8 +386,9 @@ def run_golden_case(tmp_path, case):
     return out
 
 
-# SHA-256 of outputs, recorded from the per-record generator and from the
-# per-problem shattering search (fit's report.json echoes the dataset path)
+# SHA-256 of outputs, recorded from the per-record generator, from the
+# per-problem shattering search and from the full-matrix recovery sweep
+# (fit's report.json echoes the dataset path)
 GOLDEN = {
     ("bound", "bound.csv"): "1252a0ea133bce746b6faac0c3a4e15203b050bbb695c57013aa79a3b1de84f9",
     ("bound", "bound.svg"): "6c43888798ff2453a778c5fb5af123e7c3eb6bec97a18c629e5058ae8f82360e",
@@ -396,6 +411,12 @@ GOLDEN = {
     ("recovery", "recovery.csv"): "4a9d007c4d3c7e107373ba4237915e5c748920804bfd148caf9a49a415410b28",
     ("recovery", "recovery.svg"): "d3a593046a8aa3867491c14d917d5ae6bae615858c40be3e7128039930de5cd1",
     ("recovery", "report.json"): "edba60a99c5250f13234e2070229e5996a99b8c7a7df4f9f7504d78feba81fe7",
+    ("recovery_bench_seed1", "recovery.csv"): "654fbb46f3a48cc7f3363654c91a4e151c9a2111bee0f2391e2e8fece215923d",
+    ("recovery_bench_seed1", "recovery.svg"): "f7bbf1cdaf23723f3bd29b488ba3d83dd6379bcbdeab81af470d5e5c57e72510",
+    ("recovery_bench_seed1", "report.json"): "07ba152615c569eca4cf67aef377d263babe7c8f05bde41dd13b95b1d4f5a1c9",
+    ("recovery_bench_seed2", "recovery.csv"): "5277ea3f324cdd1643d2e899d23c2a58f22dc308f5d74507a2421523017690f8",
+    ("recovery_bench_seed2", "recovery.svg"): "4e97ffc84e48c7b74707ea66bb5c776b4954723b91864c0bfda68cf75ef0e094",
+    ("recovery_bench_seed2", "report.json"): "bbf4d66dc804b6bbcdcc3363c9e871e7a2b99ecabea8b419a92815230b814541",
     ("separation", "report.json"): "95a3ac1a8242dfb29c0ee63c6793c9c789fb48fbddfaeb7143899753a7bb8732",
     ("separation", "separation.csv"): "a1974ecc4c96dac5e484afca96b176621128c6cf8712aeb78c25eefe6fd7593a",
     ("separation", "separation.svg"): "99f4eea448fe73345778ee9766a9be0937b66e6e03252589dd84e59a65e43da5",

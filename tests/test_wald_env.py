@@ -223,6 +223,11 @@ class TestWaldCheck:
         assert abs(rep.max_wald_violation - wald) <= tol
         assert abs(rep.max_homogeneity_violation - hom) <= tol
 
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_needs_at_least_one_point(self, n_points):
+        with pytest.raises(ValueError, match="n_points"):
+            wald_check(WaldUtility("linear", (0.3, 0.7)), BOX, n_points)
+
     def test_linear_on_box_exact(self):
         rep = wald_check(WaldUtility("linear", (0.3, 0.7)), BOX, 200)
         assert rep.max_wald_violation <= 1e-15  # exact identity up to rounding
