@@ -193,14 +193,6 @@ class SeparationScan:
     violations: int
     skipped: int
 
-    def csv_lines(self) -> list[str]:
-        from ._jsonio import format_float as ff
-
-        lines = ["rho,gap,stderr"]
-        for r, g, s in self.rows:
-            lines.append(f"{ff(r)},{ff(g)},{ff(s)}".replace('"', ""))
-        return lines
-
 
 def separation_exponent_check(
     family: UtilityFamily,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from pathlib import Path
 
 from ..errors import ConfigError, NumericalGuardError, RecoveryLabError
@@ -70,8 +72,14 @@ def load_config(path: str, required: set[str], optional: set[str]) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+
+    def finite(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise ConfigError(f"config {p} has a non-finite number: {text}")
+        return value
+
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -135,10 +143,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if args.replicates is not None:
             cfg["replicates"] = args.replicates
+        start = time.perf_counter()
         if takes_threads:
             output = handler(cfg, threads=sweeps.resolve_threads(args.threads))
         else:
             output = handler(cfg)
+        output.report.wall_time_seconds = time.perf_counter() - start
         output.write(args.out)
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")

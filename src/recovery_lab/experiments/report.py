@@ -36,7 +36,7 @@ class RunReport:
     header: dict
     cells: list[dict]
     format_version: str = FORMAT_VERSION
-    wall_time_seconds: float = 0.0  # sidecar only; kept out of report bytes
+    wall_time_seconds: float = 0.0  # set by cli_main; sidecar only, kept out of report bytes
 
     def to_dict(self) -> dict:
         return {

@@ -25,17 +25,14 @@ from ..lotteries import Interval, Lottery, enumerate_rational_lotteries
 #: Two act values within this tolerance count as indifferent.
 VALUE_TIE_TOL = 1e-12
 
+_GATHER_CELLS = 1 << 19  # most doubles in one block of universe_values' statewise gather
+
 
 def diagonal_pair_iter(m: int):
     """Index pairs i < j of range(m) in (i + j, i) order, lazily."""
     for s in range(1, 2 * m - 2):
         for i in range(max(0, s - m + 1), (s - 1) // 2 + 1):
             yield i, s - i
-
-
-def diagonal_pair_order(m: int) -> list[tuple[int, int]]:
-    """All index pairs i < j of range(m), sorted by (i + j, i)."""
-    return list(diagonal_pair_iter(m))
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,6 @@ class SigmaSequence:
         return tuple(
             Act(tuple(self.base_lotteries[i] for i in idx)) for idx in self.act_indices
         )
-
-    def pair_acts(self, t: int) -> tuple[Act, Act]:
-        i, j = self.pairs[t]
-        return self.universe[i], self.universe[j]
 
 
 def build_sigma(
@@ -126,9 +119,15 @@ def universe_values(prefs: list[AAPreference], sigma: SigmaSequence) -> np.ndarr
             at = np.searchsorted(points, lot.support_array)
             u_support = np.ascontiguousarray(u_points[:, at])
             eu_table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
-        statewise = eu_table[np.asarray(rows)][:, act_idx]  # (P, m, S)
+        table = eu_table[np.asarray(rows)]  # (P, L)
         priors = np.stack([p.prior.as_array for p in prefs])  # (P, S)
-        return np.einsum("pms,ps->pm", statewise, priors)
+        out = np.empty((len(prefs), len(act_idx)))
+        step = max(1, _GATHER_CELLS // (len(prefs) * act_idx.shape[1]))
+        for start in range(0, len(act_idx), step):
+            # the statewise gather (P, acts, S), one block of acts at a time
+            statewise = table[:, act_idx[start : start + step]]
+            out[:, start : start + step] = np.einsum("pms,ps->pm", statewise, priors)
+        return out
     out = np.empty((len(prefs), sigma.universe_size))
     for r, p in enumerate(prefs):
         out[r] = [act_value(p, act) for act in sigma.universe]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,7 +100,6 @@ def run_gen(cfg: dict) -> SweepOutput:
     pref = WaldUtility.from_dict(cfg["preference"])
     seed = int(cfg.get("seed", 0))
     n = int(cfg["n"])
-    start = time.perf_counter()
     ds = generate_dataset(domain, pref, noise, n, seed)
     report = RunReport(
         command="gen",
@@ -109,7 +107,6 @@ def run_gen(cfg: dict) -> SweepOutput:
         seeds={"seed": seed},
         header=_header(["record i draws from the counter stream (seed, i)"]),
         cells=[{"cell": "dataset", "n": n}],
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -131,7 +128,6 @@ def run_fit(cfg: dict) -> SweepOutput:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"domain: bad descriptor {spec!r}: {exc!r}") from None
     family = UtilityFamily.from_dict(cfg["family"], domain)
-    start = time.perf_counter()
     result = erm_fit(family, ds, refinements=int(cfg.get("refinements", 2)))
     report = RunReport(
         command="fit",
@@ -147,7 +143,6 @@ def run_fit(cfg: dict) -> SweepOutput:
                 "grid_size": result.search_log["grid_size"],
             }
         ],
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -163,7 +158,6 @@ def run_fit(cfg: dict) -> SweepOutput:
 
 
 def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
-    start = time.perf_counter()
     domain = domain_from_dict(cfg["domain"])
     family = UtilityFamily.from_dict(cfg["family"], domain)
     noise = noise_from_dict(cfg["noise"])
@@ -228,7 +222,6 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -279,7 +272,6 @@ def _codes(d: np.ndarray) -> np.ndarray:
 
 
 def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
-    start = time.perf_counter()
     interval = _interval(cfg)
     states = int(cfg["states"])
     trunc = cfg["truncation"]
@@ -382,7 +374,6 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -435,12 +426,11 @@ def _sequence_family(kind: str):
             return AAPreference.variational(_index_at(eps), CostFunction(grid, tuple(costs)))
 
     else:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        raise ConfigError(f"kind: unknown sequence kind {kind!r}; use eu, maxmin or variational")
     return pref_at
 
 
 def run_theorem2_demo(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     kinds = ["eu", "maxmin", "variational"] if cfg.get("kind", "all") == "all" else [cfg["kind"]]
     k_max = int(cfg.get("k_max", 12))
     trunc = cfg.get("act_truncation", {"denominator_bound": 2, "grid_count": 3})
@@ -477,7 +467,6 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -491,7 +480,6 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
 
 
 def run_ce_continuity(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     k_max = int(cfg.get("k_max", 12))
     pref_at = _sequence_family(cfg.get("kind", "eu"))
     target = pref_at(0.0)
@@ -515,7 +503,6 @@ def run_ce_continuity(cfg: dict) -> SweepOutput:
         seeds={},
         header=_header(["certainty equivalents inverted by bisection on the index"]),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,
@@ -534,7 +521,6 @@ def run_ce_continuity(cfg: dict) -> SweepOutput:
 
 
 def run_nonidentification_demo(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     prize_values = np.asarray(cfg.get("prize_values", (0.0, 0.4, 1.0)), dtype=float)
     state_prior = np.asarray(cfg.get("state_prior", (0.35, 0.65)), dtype=float)
     k_max = int(cfg.get("k_max", 50))
@@ -582,7 +568,6 @@ def run_nonidentification_demo(cfg: dict) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     ks = [float(k) for k in range(1, k_max + 1)]
     return SweepOutput(
@@ -616,7 +601,6 @@ def _has_strict_inversion(va: np.ndarray, vb: np.ndarray, tol: float = VALUE_TIE
 
 
 def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     interval = _interval(cfg)
     states = int(cfg["states"])
     members = _candidates(cfg, interval, states)
@@ -656,7 +640,6 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     counts = [c["pairs_separated_here"] for c in cells]
     return SweepOutput(
@@ -676,7 +659,6 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
 
 
 def run_separation(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     domain = domain_from_dict(cfg["domain"])
     family = UtilityFamily.from_dict(cfg["family"], domain)
     noise = noise_from_dict(cfg["noise"])
@@ -709,7 +691,6 @@ def run_separation(cfg: dict) -> SweepOutput:
             ]
         ),
         cells=cells,
-        wall_time_seconds=time.perf_counter() - start,
     )
     ordered = sorted(scan.rows)
     return SweepOutput(
@@ -724,7 +705,6 @@ def run_separation(cfg: dict) -> SweepOutput:
 
 
 def run_vc(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     domain = domain_from_dict(cfg["domain"])
     family = UtilityFamily.from_dict(cfg["family"], domain)
     got = vc_lower_bound(
@@ -743,13 +723,11 @@ def run_vc(cfg: dict) -> SweepOutput:
             ["every reported level is witnessed by an exhaustive labeling check"]
         ),
         cells=[{"cell": "vc_lower_bound", "value": got}],
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(report, csv_header="vc_lower_bound", csv_rows=[[got]])
 
 
 def run_bound(cfg: dict) -> SweepOutput:
-    start = time.perf_counter()
     bp = BoundParams(
         K=float(cfg["K"]),
         C_bar=float(cfg["C_bar"]),
@@ -766,7 +744,6 @@ def run_bound(cfg: dict) -> SweepOutput:
         seeds={},
         header=_header([]),
         cells=[{"cell": n, "bound": v} for n, v in zip(n_grid, vals)],
-        wall_time_seconds=time.perf_counter() - start,
     )
     return SweepOutput(
         report,

@@ -124,9 +124,6 @@ class Lottery:
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def cdf(self, r: float) -> float:
-        return cdf_eval(self, r)
-
     def cdf_on(self, points: np.ndarray) -> np.ndarray:
         """CDF evaluated at each of ``points`` (need not be sorted)."""
         cum = np.cumsum(self.probs_array)
@@ -166,13 +163,7 @@ def cdf_eval(p: Lottery, r: float) -> float:
     """P[X <= r]: a right-continuous step function of r."""
     if not np.isfinite(r):
         raise ValueError("cdf argument must be finite")
-    total = 0.0
-    for x, q in zip(p.support, p.probs):
-        if x <= r:
-            total += q
-        else:
-            break
-    return total
+    return float(p.cdf_on(np.array([r]))[0])
 
 
 def _require_same_interval(p: Lottery, q: Lottery) -> None:
@@ -212,17 +203,17 @@ def same_distribution(p: Lottery, q: Lottery) -> bool:
     return fosd_compare(p, q) is DominanceVerdict.EQUAL
 
 
-def _from_cdf(interval: Interval, grid: np.ndarray, cdf: np.ndarray) -> Lottery:
-    masses = np.diff(cdf, prepend=0.0)
-    return lottery(interval, grid.tolist(), masses.tolist())
+def _cdf_combine(p: Lottery, q: Lottery, pick) -> Lottery:
+    """The lottery whose CDF is ``pick`` of p's and q's on the merged support."""
+    _require_same_interval(p, q)
+    grid = merged_support(p, q)
+    masses = np.diff(pick(p.cdf_on(grid), q.cdf_on(grid)), prepend=0.0)
+    return lottery(p.interval, grid.tolist(), masses.tolist())
 
 
 def lottery_join(p: Lottery, q: Lottery) -> Lottery:
     """FOSD supremum: the pointwise CDF minimum on the merged support."""
-    _require_same_interval(p, q)
-    grid = merged_support(p, q)
-    cdf = np.minimum(p.cdf_on(grid), q.cdf_on(grid))
-    return _from_cdf(p.interval, grid, cdf)
+    return _cdf_combine(p, q, np.minimum)
 
 
 def lottery_meet(p: Lottery, q: Lottery) -> Lottery:
@@ -231,10 +222,7 @@ def lottery_meet(p: Lottery, q: Lottery) -> Lottery:
     For finite supports the pointwise max of right-continuous step CDFs is
     itself right-continuous, so no further modification is needed.
     """
-    _require_same_interval(p, q)
-    grid = merged_support(p, q)
-    cdf = np.maximum(p.cdf_on(grid), q.cdf_on(grid))
-    return _from_cdf(p.interval, grid, cdf)
+    return _cdf_combine(p, q, np.maximum)
 
 
 def squeeze_bounds(seq: list[Lottery]) -> tuple[list[Lottery], list[Lottery]]:

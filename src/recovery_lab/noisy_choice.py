@@ -4,7 +4,10 @@ Choice problems are pairs drawn independently and uniformly from the
 domain; the agent picks the better option with probability above one half.
 Two error models are provided: a constant flip probability, and a bounded
 response whose accuracy grows with the utility gap but never leaves
-(theta_min, theta_max).  A ``Dataset`` is two (n, d) arrays, row i of
+(theta_min, theta_max).  Each model has one ``strict_prob`` that maps
+utility gaps, an array or a scalar, to the probability of choosing the
+better option, and the scalar ``q_eval`` is a batch of one over
+``q_eval_batch``.  A ``Dataset`` is two (n, d) arrays, row i of
 ``chosen`` and ``rejected`` being problem i's chosen and rejected options;
 JSONL rows exist only at the file boundary (``dataset_text`` and
 ``read_dataset``).  Record i draws from its own stream
@@ -44,11 +47,9 @@ class ConstantFlip:
     def floor(self) -> float:
         return self.theta
 
-    def strict_prob(self, gap: float) -> float:
-        return self.theta
-
-    def strict_prob_batch(self, gaps: np.ndarray) -> np.ndarray:
-        return np.full_like(gaps, self.theta)
+    def strict_prob(self, gaps):
+        """Probability of choosing the better option at each utility gap (array or scalar)."""
+        return np.full(np.shape(gaps), self.theta)
 
     def to_dict(self) -> dict:
         return {"constant_flip": {"theta": self.theta}}
@@ -72,11 +73,8 @@ class BoundedResponse:
     def floor(self) -> float:
         return self.theta_min
 
-    def strict_prob(self, gap: float) -> float:
-        # np.tanh keeps scalar and batch paths bitwise identical
-        return float(self.theta_min + (self.theta_max - self.theta_min) * np.tanh(gap / self.tau))
-
-    def strict_prob_batch(self, gaps: np.ndarray) -> np.ndarray:
+    def strict_prob(self, gaps):
+        """Probability of choosing the better option at each utility gap (array or scalar)."""
         return self.theta_min + (self.theta_max - self.theta_min) * np.tanh(gaps / self.tau)
 
     def to_dict(self) -> dict:
@@ -113,7 +111,7 @@ def q_eval(noise: NoiseModel, pref, x, y) -> float:
 def q_eval_batch(noise: NoiseModel, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Vectorized q over precomputed utility columns."""
     gap = vx - vy
-    up = noise.strict_prob_batch(np.abs(gap))
+    up = noise.strict_prob(np.abs(gap))
     return np.where(gap > 0, up, np.where(gap < 0, 1.0 - up, 0.5))
 
 

@@ -57,13 +57,13 @@ class BoxDomain:
 
     def contains(self, x) -> bool:
         x = _check_dim(x, self.dim)
-        return bool(np.all(x >= self._lo) and np.all(x <= self._hi))
+        return bool(self.contains_batch(x[None])[0])
 
     def contains_batch(self, x: np.ndarray) -> np.ndarray:
         return np.all((x >= self._lo) & (x <= self._hi), axis=1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self._lo, self._hi)
+        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self._lo, self._hi, size=(n, self.dim))
@@ -99,8 +99,7 @@ class ConeDomain:
 
     def contains(self, x) -> bool:
         x = _check_dim(x, self.d)
-        norm = float(np.linalg.norm(x))
-        return norm <= self.M and float(np.min(x)) >= (self.alpha / self.M) * norm
+        return bool(self.contains_batch(x[None])[0])
 
     def contains_batch(self, x: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(x, axis=1)
@@ -358,22 +357,26 @@ def wald_check(
     return WaldCheckReport(max_wald, max_hom, inside / n_points, n_points)
 
 
+def _grid_points(domain: Domain, axis) -> np.ndarray:
+    """Product grid of ``axis(lo, hi)`` over the domain's bounding box (the box
+    itself, or [0, M]^d for a cone section), filtered by membership."""
+    if isinstance(domain, BoxDomain):
+        axes = [axis(l, h) for l, h in zip(domain.lo, domain.hi)]
+    else:
+        axes = [axis(0.0, domain.M)] * domain.d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return pts[domain.contains_batch(pts)]
+
+
 def lattice_points(domain: Domain, steps: int) -> np.ndarray:
     """Deterministic evaluation lattice inside the domain.
 
-    Boxes get the full product grid; cone sections the product grid over
-    [0, M]^d filtered by membership.  Used as the default grid for utility
-    sup-distances.
+    ``steps`` intervals per axis: boxes get the full product grid, cone
+    sections the product grid over [0, M]^d filtered by membership.  Used as
+    the default grid for utility sup-distances.
     """
-    if isinstance(domain, BoxDomain):
-        axes = [np.linspace(l, h, steps + 1) for l, h in zip(domain.lo, domain.hi)]
-    else:
-        axes = [np.linspace(0.0, domain.M, steps + 1)] * domain.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if isinstance(domain, ConeDomain):
-        pts = pts[domain.contains_batch(pts)]
-    return pts
+    return _grid_points(domain, lambda lo, hi: np.linspace(lo, hi, steps + 1))
 
 
 def lipschitz_estimate(u: WaldUtility, domain: Domain, grid_step: float) -> float:
@@ -385,15 +388,7 @@ def lipschitz_estimate(u: WaldUtility, domain: Domain, grid_step: float) -> floa
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    if isinstance(domain, BoxDomain):
-        axes = [
-            np.arange(l, h + 1e-12, grid_step) for l, h in zip(domain.lo, domain.hi)
-        ]
-    else:
-        axes = [np.arange(0.0, domain.M + 1e-12, grid_step)] * domain.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[domain.contains_batch(pts)]
+    pts = _grid_points(domain, lambda lo, hi: np.arange(lo, hi + 1e-12, grid_step))
     vals = u.value_batch(pts)
     best = 0.0
     for start in range(0, len(pts), 256):

@@ -398,3 +398,19 @@ class TestTruncationAndCandidates:
         path = write_cfg(tmp_path, "c.json", {**CLI_CONFIGS[command], **over})
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, *words)
+
+
+class TestNumbersAndKinds:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, literal):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({**CLI_CONFIGS["bound"], "K": "@"}).replace('"@"', literal))
+        assert cli_main(["bound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_config_error(capsys, "non-finite", literal)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["theorem2", "ce-continuity"])
+    def test_unknown_kind_exits_two(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, "c.json", {**CLI_CONFIGS[command], "kind": "quadratic"})
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_config_error(capsys, "kind", "quadratic")

@@ -1,5 +1,7 @@
 """Finite experiments, rationalization, and the sweep runners."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,9 @@ from recovery_lab.experiments import (
     universe_values,
     weakly_rationalizes,
 )
+from recovery_lab.experiments import sigma as sigma_module
 from recovery_lab.experiments.prefgrids import index_value_grid
-from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_order
+from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_iter
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
 from test_acceptance import RECOVERY_CFGS
@@ -62,7 +65,7 @@ class TestSigma:
             build_sigma(1, UNIT, 1, 2, k=2)
 
     def test_diagonal_order_every_pair_once(self):
-        pairs = diagonal_pair_order(6)
+        pairs = list(diagonal_pair_iter(6))
         assert len(pairs) == 15
         assert len(set(pairs)) == 15
         sums = [i + j for i, j in pairs]
@@ -135,6 +138,29 @@ class TestEuTable:
         prefs = eu_grid(2, UNIT, 3, [1 / 3, 2 / 3], 6)
         sig = build_sigma(2, UNIT, den, gc, k=1)
         assert np.array_equal(universe_values(prefs, sig), reference_universe_values(prefs, sig))
+
+    @pytest.mark.parametrize("states", [1, 2, 3, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        level=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+        prior_steps=st.integers(1, 6),
+        value_steps=st.integers(3, 9),
+        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=12),
+        gather_cells=st.sampled_from([1, 7, 64, 1 << 19]),
+    )
+    def test_values_match_the_reference_at_one_to_four_states(
+        self, states, level, prior_steps, value_steps, picks, gather_cells
+    ):
+        # the statewise gather runs in blocks of acts; every block size, and a
+        # batch of one preference as well as many, gives the reference's values
+        grid = eu_grid(states, UNIT, prior_steps, [0.3, 0.7], value_steps)
+        prefs = [grid[i % len(grid)] for i in picks]
+        sig = build_sigma(states, UNIT, *level, k=1)
+        want = reference_universe_values(prefs, sig)
+        with mock.patch.object(sigma_module, "_GATHER_CELLS", gather_cells):
+            assert np.array_equal(universe_values(prefs, sig), want)
+            for p in prefs:
+                assert np.array_equal(universe_values([p], sig), reference_universe_values([p], sig))
 
     def test_index_on_another_interval_is_rejected(self):
         pref = AAPreference.eu(BernoulliIndex.identity(self.SHIFTED), Prior((1.0,)))

@@ -121,6 +121,9 @@ class TestCdf:
             r = rng.random()
             assert cdf_eval(p, r) == oracle_cdf(p, r)
             assert p.cdf_on(np.array([r]))[0] == oracle_cdf(p, r)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    cdf_eval(p, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -88,19 +88,21 @@ class TestNoiseModels:
 
     def test_batch_matches_scalar_on_same_utilities(self):
         rng = np.random.default_rng(2)
-        noise = BoundedResponse(0.6, 0.9, 0.5)
         vx = rng.uniform(0, 1, 200)
         vy = rng.uniform(0, 1, 200)
         vy[::10] = vx[::10]  # include exact ties
-        got = q_eval_batch(noise, vx, vy)
-        for i in range(200):
-            if vx[i] == vy[i]:
-                want = 0.5
-            elif vx[i] > vy[i]:
-                want = noise.strict_prob(vx[i] - vy[i])
-            else:
-                want = 1.0 - noise.strict_prob(vy[i] - vx[i])
-            assert got[i] == want
+        for noise in (ConstantFlip(0.75), BoundedResponse(0.6, 0.9, 0.5)):
+            got = q_eval_batch(noise, vx, vy)
+            gaps = np.abs(vx - vy)  # Python floats below: a scalar gap is a batch of one
+            assert np.array_equal(noise.strict_prob(gaps), [noise.strict_prob(g) for g in gaps.tolist()])
+            for i in range(200):
+                if vx[i] == vy[i]:
+                    want = 0.5
+                elif vx[i] > vy[i]:
+                    want = noise.strict_prob(vx[i] - vy[i])
+                else:
+                    want = 1.0 - noise.strict_prob(vy[i] - vx[i])
+                assert got[i] == want
 
     def test_descriptor_roundtrip(self):
         for noise in (ConstantFlip(0.75), BoundedResponse(0.6, 0.9, 0.5)):

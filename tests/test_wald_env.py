@@ -52,6 +52,14 @@ class TestDomains:
                 assert np.min(s) >= CONE.alpha - 1e-12 and np.linalg.norm(s) == pytest.approx(1.0)
             assert CONE.contains(x) == member
 
+    def test_scalar_membership_agrees_with_batch_on_the_outer_sphere(self):
+        # the norm of one vector and the row norms of a matrix round differently
+        # for some points with ||x|| = M; one predicate decides both
+        rng = np.random.default_rng(0)
+        raw = rng.uniform(0.0, 1.0, size=(20_000, 2))
+        pts = CONE.M * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert [CONE.contains(x) for x in pts] == CONE.contains_batch(pts).tolist()
+
     def test_cone_nonempty_invariant(self):
         with pytest.raises(ValueError):
             ConeDomain(alpha=0.8, M=1.0, d=2)
@@ -65,6 +73,12 @@ class TestDomains:
         b = BOX.sample(np.random.default_rng(42))
         assert np.array_equal(a, b)
         assert BOX.contains(a)
+        # scalar draws are rows of a batch, and leave the stream where the batch does
+        lopsided = BoxDomain((-1.0, 0.0, 2.0), (0.5, 3.0, 2.5))
+        scalar, batch = np.random.default_rng(8), np.random.default_rng(8)
+        one_by_one = np.array([lopsided.sample(scalar) for _ in range(1000)])
+        assert np.array_equal(one_by_one, lopsided.sample_batch(batch, 1000))
+        assert scalar.random() == batch.random()
 
     def test_cone_samples_are_members(self):
         rng = np.random.default_rng(1)
