@@ -3,7 +3,9 @@
 The estimator maximizes the count of rationalized records over a finite
 family grid (the objective is a 0/1 count, so the search is exhaustive
 plus a deterministic local refinement rather than gradient-based).  The
-supporting cast: a grid sup-norm metric, Monte Carlo estimates of the
+records are raised to each distinct rho once (``WaldUtility.powers``), and
+each candidate applies its weights to its rho's table (``from_powers``),
+bit for bit as ``value_batch`` would.  The supporting cast: a grid sup-norm metric, Monte Carlo estimates of the
 probability that a candidate ranking matches noisy choices, the
 separation gap that identifies the truth, a brute-force shattering search,
 and the finite-sample bound evaluator.
@@ -73,42 +75,32 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     toward the lexicographically smallest parameter vector, so the result
     is deterministic given the grid specification and the dataset.
     """
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     members = family.members()
     if not members:
         raise EmptyGridError("utility family has an empty grid")
     _check_record_dim(ds, family.dim)
-
-    def score(u: WaldUtility) -> float:
-        return score_from_values(u.value_batch(ds.chosen), u.value_batch(ds.rejected))
-
-    evaluated: list[tuple[float, WaldUtility]] = []
-
-    def better(cand_score, cand, best_score, best):
-        if cand_score > best_score:
-            return True
-        return cand_score == best_score and cand.param_tuple() < best.param_tuple()
-
-    best = members[0]
-    best_score = score(best)
-    evaluated.append((best_score, best))
-    for m in members[1:]:
-        s = score(m)
-        evaluated.append((s, m))
-        if better(s, m, best_score, best):
-            best, best_score = m, s
-    for level in range(1, refinements + 1):
-        for cand in family.refine_around(best, level):
-            if cand == best:
+    tables: dict = {}  # rho -> step one of value_batch on chosen and on rejected
+    scores: list[float] = []
+    best, best_score = members[0], -math.inf
+    for level in range(refinements + 1):
+        candidates = family.refine_around(best, level) if level else members
+        for cand in candidates:
+            if level and cand == best:
                 continue
-            s = score(cand)
-            evaluated.append((s, cand))
-            if better(s, cand, best_score, best):
+            if cand.rho not in tables:
+                tables[cand.rho] = (cand.powers(ds.chosen), cand.powers(ds.rejected))
+            chosen, rejected = tables[cand.rho]
+            s = score_from_values(cand.from_powers(*chosen), cand.from_powers(*rejected))
+            scores.append(s)
+            if s > best_score or (s == best_score and cand.param_tuple() < best.param_tuple()):
                 best, best_score = cand, s
-    ties = sum(1 for s, _ in evaluated if s == best_score)
+    ties = scores.count(best_score)
     log = {
         "grid_size": len(members),
         "refinement_levels": refinements,
-        "evaluated": len(evaluated),
+        "evaluated": len(scores),
     }
     return ErmResult(best, best_score, ds.n, ties, log)
 

@@ -43,6 +43,8 @@ from ..noisy_choice import (
     read_dataset,
 )
 from ..wald_env import (
+    LINEAR,
+    BoxDomain,
     ConeDomain,
     UtilityFamily,
     WaldUtility,
@@ -80,6 +82,26 @@ def _interval(cfg: dict) -> Interval:
     return Interval(float(lo), float(hi))
 
 
+def _count(cfg: dict, field: str, default=None, minimum: int = 0) -> int:
+    """cfg[field], or default when absent, as an integer >= minimum."""
+    value = cfg.get(field, default)
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = None
+    if count is None or count < minimum:
+        raise ConfigError(f"{field} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
+def _parsed(field: str, build, spec, *args):
+    """build(spec, *args), with a malformed descriptor a ConfigError naming the field."""
+    try:
+        return build(spec, *args)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{field}: bad descriptor {spec!r}: {exc!r}") from None
+
+
 def _default_exponent(domain) -> int:
     # homothetic cone environments double the dimension exponent
     return 2 * domain.dim if isinstance(domain, ConeDomain) else domain.dim
@@ -95,11 +117,17 @@ def _header(extra_notes: list[str]) -> dict:
 
 
 def run_gen(cfg: dict) -> SweepOutput:
-    domain = domain_from_dict(cfg["domain"])
-    noise = noise_from_dict(cfg["noise"])
-    pref = WaldUtility.from_dict(cfg["preference"])
+    domain = _parsed("domain", domain_from_dict, cfg["domain"])
+    noise = _parsed("noise", noise_from_dict, cfg["noise"])
+    pref = _parsed("preference", WaldUtility.from_dict, cfg["preference"])
+    if pref.dim != domain.dim:
+        raise ConfigError(f"preference has dimension {pref.dim} but the domain {domain.dim}")
+    if pref.kind != LINEAR and isinstance(domain, BoxDomain) and min(domain.lo) < 0:
+        raise ConfigError(
+            f"preference: {pref.kind} needs nonnegative bundles, box lo is {list(domain.lo)}"
+        )
     seed = int(cfg.get("seed", 0))
-    n = int(cfg["n"])
+    n = _count(cfg, "n")
     ds = generate_dataset(domain, pref, noise, n, seed)
     report = RunReport(
         command="gen",
@@ -119,16 +147,14 @@ def run_gen(cfg: dict) -> SweepOutput:
 def run_fit(cfg: dict) -> SweepOutput:
     from .. import _jsonio
 
+    refinements = _count(cfg, "refinements", 2)
     ds = read_dataset(cfg["dataset"])
     spec = cfg.get("domain") or ds.meta.get("domain")
     if spec is None:
         raise ConfigError("domain is missing: the dataset's meta line has none; set it in the config")
-    try:
-        domain = domain_from_dict(spec)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"domain: bad descriptor {spec!r}: {exc!r}") from None
-    family = UtilityFamily.from_dict(cfg["family"], domain)
-    result = erm_fit(family, ds, refinements=int(cfg.get("refinements", 2)))
+    domain = _parsed("domain", domain_from_dict, spec)
+    family = _parsed("family", UtilityFamily.from_dict, cfg["family"], domain)
+    result = erm_fit(family, ds, refinements=refinements)
     report = RunReport(
         command="fit",
         config=cfg,
@@ -254,8 +280,6 @@ def _truncation(field: str, denominator_bound, grid_count) -> tuple[int, int]:
 
 def _candidates(cfg: dict, interval: Interval, states: int) -> list[AAPreference]:
     """The config's candidate grid: nonempty, over the config's states."""
-    if states < 1:
-        raise ConfigError(f"states must be >= 1, got {states}")
     grid = grid_from_config(cfg["candidates"], interval)
     if not grid:
         raise ConfigError("candidates: the grid is empty")
@@ -273,19 +297,15 @@ def _codes(d: np.ndarray) -> np.ndarray:
 
 def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
     interval = _interval(cfg)
-    states = int(cfg["states"])
+    states = _count(cfg, "states", minimum=1)
     trunc = cfg["truncation"]
     den, gc = _truncation("truncation", trunc["denominator_bound"], trunc["grid_count"])
     k_grid = sorted(int(k) for k in cfg["k_grid"])
     if not k_grid or k_grid[0] < 0:
         raise ConfigError(f"k_grid must list non-negative pair counts, got {k_grid}")
-    replicates = int(cfg.get("replicates", 3))
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    replicates = _count(cfg, "replicates", 3, minimum=1)
     seed = int(cfg.get("seed", 0))
-    dis_m = int(cfg.get("disagreement_m", 4000))
-    if dis_m < 1:
-        raise ConfigError(f"disagreement_m must be >= 1, got {dis_m}")
+    dis_m = _count(cfg, "disagreement_m", 4000, minimum=1)
     candidates = _candidates(cfg, interval, states)
     true_index = int(cfg["true_index"])
     if not 0 <= true_index < len(candidates):
@@ -602,7 +622,7 @@ def _has_strict_inversion(va: np.ndarray, vb: np.ndarray, tol: float = VALUE_TIE
 
 def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
     interval = _interval(cfg)
-    states = int(cfg["states"])
+    states = _count(cfg, "states", minimum=1)
     members = _candidates(cfg, interval, states)
     schedule = [_truncation(f"schedule[{i}]", d, g) for i, (d, g) in enumerate(cfg["schedule"])]
     pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]

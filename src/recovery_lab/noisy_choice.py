@@ -195,13 +195,23 @@ def generate_dataset(
 
 
 def dataset_text(ds: Dataset) -> str:
-    """Line-delimited JSON: meta line first, then one record per line."""
-    lines = [_jsonio.dumps(ds.meta)]
-    lines += [
-        f'{{"chosen": {_jsonio.dumps(c)}, "rejected": {_jsonio.dumps(r)}}}'
-        for c, r in zip(ds.chosen.tolist(), ds.rejected.tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    """Line-delimited JSON: meta line first, then one record per line, all
+    formatted by one ``%`` with ``_jsonio.format_float``'s rule per number:
+    ``%.1f`` for an integral value below 1e16 in magnitude, else ``%.17g``."""
+    rows = np.concatenate([ds.chosen, ds.rejected], axis=1)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"record {bad[0]} has a non-finite value")
+    integral = (rows == np.trunc(rows)) & (np.abs(rows) < 1e16)
+    d = ds.chosen.shape[1]
+
+    def template(specs) -> str:
+        return f'{{"chosen": [{", ".join(specs[:d])}], "rejected": [{", ".join(specs[d:])}]}}\n'
+
+    lines = [template(["%.17g"] * 2 * d)] * ds.n
+    for i in np.flatnonzero(integral.any(axis=1)):
+        lines[i] = template(np.where(integral[i], "%.1f", "%.17g").tolist())
+    return _jsonio.dumps(ds.meta) + "\n" + "".join(lines) % tuple(rows.ravel().tolist())
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
@@ -233,9 +243,14 @@ def read_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"bad domain in meta line: {exc!r}", line=1) from exc
     source = "domain"
     chosen, rejected = [], []
+    try:  # one parse for the whole body; line by line only to name a fault
+        parsed = _jsonio.loads("[" + ",".join(lines[1:]) + "]")
+    except ValueError:
+        parsed = []
+    bulk = len(parsed) == len(lines) - 1
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
-            obj = _jsonio.loads(raw)
+            obj = parsed[lineno - 2] if bulk else _jsonio.loads(raw)
             c, r = _floats(obj["chosen"]), _floats(obj["rejected"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise DatasetFormatError(f"bad record: {exc}", line=lineno) from exc

@@ -168,8 +168,8 @@ class WaldUtility:
         if not w or any(v < 0.0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.kind == CES:
-            if self.rho is None or self.rho == 0.0:
-                raise ValueError("ces utility needs rho != 0")
+            if not isinstance(self.rho, (int, float)) or self.rho == 0.0:
+                raise ValueError(f"ces utility needs a number rho != 0, got {self.rho!r}")
         elif self.kind == COBB_DOUGLAS:
             if any(v <= 0.0 for v in w):
                 raise ValueError("cobb_douglas weights must be strictly positive")
@@ -202,22 +202,33 @@ class WaldUtility:
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of x."""
-        w = self._w
-        if self.kind == LINEAR:
-            return x @ w
-        if np.any(x < 0.0):
+        return self.from_powers(*self.powers(x))
+
+    def powers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Step one of ``value_batch``, shared by all members of one kind and rho:
+        x**rho for CES (for rho < 0 over the rows with no zero coordinate, whose
+        mask comes with it; the others are worth zero by convention), else x."""
+        if self.kind != LINEAR and np.any(x < 0.0):
             raise ValueError("ces/cobb_douglas utilities need nonnegative bundles")
-        if self.kind == COBB_DOUGLAS:
-            return np.prod(np.power(x, w), axis=-1)
+        if self.kind != CES:
+            return x, None
         if self.rho < 0.0:
-            # zero coordinates get utility zero by convention (measure-zero set)
-            out = np.zeros(x.shape[:-1])
             pos = np.all(x > 0.0, axis=-1)
-            if np.any(pos):
-                inner = np.power(x[pos], self.rho) @ w
-                out[pos] = np.power(inner, 1.0 / self.rho)
-            return out
-        return np.power(np.power(x, self.rho) @ w, 1.0 / self.rho)
+            return np.power(x[pos], self.rho), pos
+        return np.power(x, self.rho), None
+
+    def from_powers(self, p: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
+        """Step two of ``value_batch``: this member's values from ``powers``."""
+        if self.kind == LINEAR:
+            return p @ self._w
+        if self.kind == COBB_DOUGLAS:
+            return np.prod(np.power(p, self._w), axis=-1)
+        values = np.power(p @ self._w, 1.0 / self.rho)
+        if pos is None:
+            return values
+        out = np.zeros(pos.shape)
+        out[pos] = values
+        return out
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "weights": list(self.weights)}
@@ -246,10 +257,14 @@ class UtilityFamily:
     kappa: float | None = None
 
     def __post_init__(self):
+        if self.kind not in (LINEAR, CES, COBB_DOUGLAS):
+            raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.weight_steps < 1:
             raise ValueError("weight_steps must be >= 1")
         if self.kind == CES and not self.rho_grid:
             raise ValueError("ces family needs a rho grid")
+        if any(not isinstance(r, (int, float)) or r == 0.0 for r in self.rho_grid):
+            raise ValueError(f"rho_grid must list nonzero numbers, got {list(self.rho_grid)}")
         if self.kind != CES and self.rho_grid:
             raise ValueError("only ces families take a rho grid")
 
@@ -388,7 +403,12 @@ def lipschitz_estimate(u: WaldUtility, domain: Domain, grid_step: float) -> floa
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    pts = _grid_points(domain, lambda lo, hi: np.arange(lo, hi + 1e-12, grid_step))
+
+    def axis(lo, hi):  # hi itself ends the axis when (hi - lo) / grid_step is integral
+        pts = np.arange(lo, hi + 1e-9 * grid_step, grid_step)
+        return np.where(np.abs(pts - hi) <= 1e-9 * grid_step, hi, pts)
+
+    pts = _grid_points(domain, axis)
     vals = u.value_batch(pts)
     best = 0.0
     for start in range(0, len(pts), 256):

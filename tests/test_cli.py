@@ -414,3 +414,44 @@ class TestNumbersAndKinds:
         path = write_cfg(tmp_path, "c.json", {**CLI_CONFIGS[command], "kind": "quadratic"})
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, "kind", "quadratic")
+
+
+GEN = CLI_CONFIGS["gen"]
+
+# (subcommand, field overrides, words the one-line message names)
+BAD_GEN_FIT = [
+    ("gen", {"domain": {"box": {"lo": [0.0, 1.0], "hi": [1.0, 1.0]}}}, ["domain", "lo < hi"]),
+    ("gen", {"n": -5}, ["n must be"]),
+    ("gen", {"n": "abc"}, ["n must be", "abc"]),
+    ("gen", {"noise": {"constant_flip": {"theta": 0.4}}}, ["noise", "theta"]),
+    ("gen", {"preference": {"kind": "linear", "weights": [0.2, 0.3, 0.5]}},
+     ["preference", "dimension 3"]),
+    ("gen", {"preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": "abc"}},
+     ["preference", "abc"]),
+    ("gen", {"domain": {"box": {"lo": [-1.0, 0.0], "hi": [1.0, 1.0]}},
+             "preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": 2.0}},
+     ["preference", "nonnegative"]),
+    ("fit", {"refinements": "abc"}, ["refinements", "abc"]),
+    ("fit", {"refinements": -1}, ["refinements", "-1"]),
+    ("fit", {"family": {}}, ["family"]),
+    ("fit", {"family": {"quadratic": {"weight_steps": 4}}}, ["family", "quadratic"]),
+    ("fit", {"family": {"ces": {"rho_grid": [], "weight_steps": 4}}}, ["family", "rho grid"]),
+    ("fit", {"family": {"ces": {"rho_grid": [0.0, 1.0], "weight_steps": 4}}}, ["family", "rho_grid"]),
+    ("fit", {"family": {"ces": {"rho_grid": ["a"], "weight_steps": 4}}}, ["family", "rho_grid"]),
+    ("fit", {"family": {"linear": {"weight_steps": 0}}}, ["family", "weight_steps"]),
+]
+
+
+class TestGenFitConfig:
+    @pytest.mark.parametrize("command, over, words", BAD_GEN_FIT)
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, command, over, words):
+        cfg = GEN
+        if command == "fit":
+            assert cli_main(["gen", "--config", write_cfg(tmp_path, "g.json", GEN),
+                             "--out", str(tmp_path / "ds")]) == 0
+            dataset = str(tmp_path / "ds" / "dataset.jsonl")
+            cfg = {"version": 1, "dataset": dataset, "family": {"linear": {"weight_steps": 4}}}
+        path = write_cfg(tmp_path, "c.json", {**cfg, **over})
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_config_error(capsys, *words)
+        assert not (tmp_path / "o").exists()

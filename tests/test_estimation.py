@@ -5,10 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recovery_lab.errors import CombinatorialCapError, EmptyGridError, ShapeMismatchError
 from recovery_lab.estimation import (
     BoundParams,
+    ErmResult,
     bound_eval,
     disagreement,
     empirical_score,
@@ -137,6 +140,89 @@ class TestErmFit:
         assert fam.members() == []
         with pytest.raises(EmptyGridError):
             erm_fit(fam, EMPTY)
+
+    def test_negative_refinements_rejected(self):
+        with pytest.raises(ValueError, match="refinements"):
+            erm_fit(LIN_FAMILY, CONTRADICTORY, refinements=-1)
+
+
+def reference_values(u: WaldUtility, x: np.ndarray) -> np.ndarray:
+    """value_batch as one body per kind, before its split into powers and from_powers."""
+    w = np.asarray(u.weights, dtype=float)
+    if u.kind == "linear":
+        return x @ w
+    if u.kind == "cobb_douglas":
+        return np.prod(np.power(x, w), axis=-1)
+    if u.rho < 0.0:
+        out = np.zeros(x.shape[:-1])
+        pos = np.all(x > 0.0, axis=-1)
+        if np.any(pos):
+            out[pos] = np.power(np.power(x[pos], u.rho) @ w, 1.0 / u.rho)
+        return out
+    return np.power(np.power(x, u.rho) @ w, 1.0 / u.rho)
+
+
+def reference_erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResult:
+    """The per-member ERM loop: every candidate's values computed from the records."""
+    members = family.members()
+
+    def score(u):
+        return score_from_values(reference_values(u, ds.chosen), reference_values(u, ds.rejected))
+
+    def better(cand_score, cand, best_score, best):
+        if cand_score > best_score:
+            return True
+        return cand_score == best_score and cand.param_tuple() < best.param_tuple()
+
+    best = members[0]
+    best_score = score(best)
+    evaluated = [best_score]
+    for m in members[1:]:
+        s = score(m)
+        evaluated.append(s)
+        if better(s, m, best_score, best):
+            best, best_score = m, s
+    for level in range(1, refinements + 1):
+        for cand in family.refine_around(best, level):
+            if cand == best:
+                continue
+            s = score(cand)
+            evaluated.append(s)
+            if better(s, cand, best_score, best):
+                best, best_score = cand, s
+    log = {"grid_size": len(members), "refinement_levels": refinements, "evaluated": len(evaluated)}
+    return ErmResult(best, best_score, ds.n, evaluated.count(best_score), log)
+
+
+@st.composite
+def erm_cases(draw):
+    """A family (linear, Cobb-Douglas, or CES with rhos of either sign, repeats
+    allowed) and a dataset whose coordinates are often zero or coarse, so
+    the rho < 0 zero convention and score ties both occur."""
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["linear", "cobb_douglas", "ces"]))
+    rhos = ()
+    if kind == "ces":
+        rho = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])
+        rhos = tuple(draw(st.lists(rho, min_size=1, max_size=4)))
+    family = UtilityFamily(kind, BoxDomain.unit(d), draw(st.integers(d, 6)), rhos)
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1.0, (2, n, d))
+    if draw(st.booleans()):
+        x = np.round(x, 1)  # coarse values: many zeros and exact ties
+    x[rng.uniform(size=x.shape) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = 0.0
+    ds = Dataset(x[0], x[1], {"n": n})
+    return family, ds, draw(st.integers(0, 2))
+
+
+class TestErmMatchesPerMemberLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(case=erm_cases())
+    def test_same_result_as_reference(self, case):
+        family, ds, refinements = case
+        got = erm_fit(family, ds, refinements)
+        assert got.to_dict() == reference_erm_fit(family, ds, refinements).to_dict()
 
 
 class TestRho:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from recovery_lab import _jsonio
 from recovery_lab.errors import DatasetFormatError, ShapeMismatchError
 from recovery_lab.experiments.cli import cli_main
 from recovery_lab.noisy_choice import (
@@ -279,6 +280,81 @@ class TestSerialization:
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DatasetFormatError):
             read_dataset(p)
+
+
+# lines a bulk parse of the joined body could absorb; each sits on line 3
+JOIN_HIDDEN = [
+    GOOD_RECORD + " " + GOOD_RECORD,  # two records on one line
+    GOOD_RECORD + ", " + GOOD_RECORD,
+    "",  # a blank line
+    "1, 2",
+    GOOD_RECORD + ",",  # a trailing comma
+]
+
+
+def reference_dataset_text(ds: Dataset) -> str:
+    """The per-number ``_jsonio`` writer the bulk formatter replaced, kept as its oracle."""
+    lines = [_jsonio.dumps(ds.meta)]
+    lines += [
+        f'{{"chosen": {_jsonio.dumps(c)}, "rejected": {_jsonio.dumps(r)}}}'
+        for c, r in zip(ds.chosen.tolist(), ds.rejected.tolist())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# integral values on both sides of format_float's 1e16 cut, and the extremes
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16,
+               1e17, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def finite_datasets(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    value = st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**60), 2**60).map(float),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=2 * d, max_size=2 * d), min_size=n, max_size=n))
+    rows = np.array(rows, dtype=float).reshape(n, 2 * d)
+    return Dataset(rows[:, :d], rows[:, d:], {"format": "choice-dataset/1", "n": n, "x": 0.5})
+
+
+class TestBulkJsonl:
+    @settings(max_examples=200, deadline=None)
+    @given(ds=finite_datasets())
+    def test_text_matches_the_per_number_writer(self, ds):
+        assert dataset_text(ds) == reference_dataset_text(ds)
+
+    def test_every_edge_value_in_one_dataset(self):
+        edge = np.array(EDGE_FLOATS)
+        ds = Dataset(edge[:, None], edge[::-1, None], {"n": len(edge)})
+        text = dataset_text(ds)
+        assert text == reference_dataset_text(ds)
+        assert '"chosen": [9999999999999998.0]' in text and '"chosen": [10000000000000000]' in text
+
+    @pytest.mark.parametrize("side", ["chosen", "rejected"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_names_its_record(self, side, value):
+        ds = generate_dataset(BOX, U, ConstantFlip(0.75), 4, seed=1)
+        getattr(ds, side)[2, 1] = value
+        with pytest.raises(ValueError, match="record 2 "):
+            dataset_text(ds)
+
+    @pytest.mark.parametrize("bad", JOIN_HIDDEN)
+    def test_line_the_joined_body_hides_is_named(self, tmp_path, bad):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(f'{{"format": "choice-dataset/1", "n": 3}}\n{GOOD_RECORD}\n{bad}\n{GOOD_RECORD}\n')
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(p)
+        assert err.value.line == 3 and "line 3" in str(err.value)
+
+    def test_blank_last_line_is_named(self, tmp_path):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(f'{{"format": "choice-dataset/1", "n": 1}}\n{GOOD_RECORD}\n\n')
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(p)
+        assert err.value.line == 3
 
 
 def reference_dataset(domain, pref, noise, n, seed) -> Dataset:

@@ -285,6 +285,18 @@ class TestLipschitz:
         # this CES utility has constant gradient norm 1/sqrt(2)
         assert est == pytest.approx(1 / np.sqrt(2), abs=0.05)
 
+    def test_box_lattice_keeps_its_upper_face(self):
+        # (1.0 - 0.1) / 0.05 is integral, so each axis ends at 1.0 exactly
+        class Recorder:
+            def value_batch(self, x):
+                self.pts = x
+                return x.sum(axis=1)
+
+        u = Recorder()
+        lipschitz_estimate(u, BoxDomain((0.1, 0.1), (1.0, 1.0)), 0.05)
+        assert len(u.pts) == 19 * 19
+        assert u.pts.max() == 1.0 and any((p == (1.0, 1.0)).all() for p in u.pts)
+
     def test_family_kappa_validation(self):
         fam = UtilityFamily("linear", BOX, weight_steps=4, kappa=1.0)
         assert validate_family_kappa(fam, grid_step=0.25)
