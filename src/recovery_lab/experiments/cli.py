@@ -1,10 +1,11 @@
 """Command-line harness for dataset generation, fitting, and sweeps.
 
 Every subcommand reads a JSON config (strictly validated: a version field
-is required and unknown fields are rejected), honors --seed / --out /
---replicates / --threads overrides, and writes byte-deterministic outputs
-into the target directory.  Exit codes: 0 success, 2 configuration error,
-3 numerical-guard failure.
+is required, unknown fields are rejected, and each field is checked against
+the subcommand's table in sweeps.py, which ``<subcommand> --help`` lists),
+honors --seed / --out / --replicates / --threads overrides, and writes
+byte-deterministic outputs into the target directory.  Exit codes: 0
+success, 2 configuration error, 3 numerical-guard failure.
 """
 
 from __future__ import annotations
@@ -18,57 +19,28 @@ from pathlib import Path
 
 from ..errors import ConfigError, NumericalGuardError, RecoveryLabError
 from . import sweeps
+from .config import REQUIRED, Field
 
 CONFIG_VERSION = 1
 
-# subcommand -> (handler, required keys, optional keys, takes threads)
-_COMMON_OPTIONAL = {"seed"}
+# subcommand -> (handler, field table, takes threads)
 _REGISTRY: dict[str, tuple] = {
-    "gen": (sweeps.run_gen, {"n", "domain", "noise", "preference"}, set(), False),
-    "fit": (sweeps.run_fit, {"dataset", "family"}, {"domain", "refinements"}, False),
-    "consistency": (
-        sweeps.run_consistency,
-        {"domain", "family", "noise", "true_preference", "n_grid"},
-        {"replicates", "eval_steps", "delta", "exponent_d", "vc_dimension", "vc_k", "vc_trials"},
-        True,
-    ),
-    "recovery": (
-        sweeps.run_recovery,
-        {"states", "truncation", "k_grid", "candidates", "true_index"},
-        {"replicates", "interval", "disagreement_m"},
-        True,
-    ),
-    "theorem2": (
-        sweeps.run_theorem2_demo,
-        set(),
-        {"kind", "k_max", "act_truncation", "z_steps"},
-        False,
-    ),
-    "ce-continuity": (sweeps.run_ce_continuity, set(), {"kind", "k_max"}, False),
-    "nonid": (
-        sweeps.run_nonidentification_demo,
-        set(),
-        {"prize_values", "state_prior", "k_max", "m"},
-        False,
-    ),
-    "separation": (
-        sweeps.run_separation,
-        {"domain", "family", "noise", "n_pairs", "m"},
-        {"exponent_d"},
-        False,
-    ),
-    "vc": (sweeps.run_vc, {"domain", "family", "k", "trials"}, {"proposals"}, False),
-    "uniqueness": (
-        sweeps.run_dense_uniqueness_check,
-        {"states", "candidates", "schedule"},
-        {"interval"},
-        False,
-    ),
-    "bound": (sweeps.run_bound, {"K", "C_bar", "V", "D", "delta", "n_grid"}, set(), False),
+    "gen": (sweeps.run_gen, sweeps.GEN_FIELDS, False),
+    "fit": (sweeps.run_fit, sweeps.FIT_FIELDS, False),
+    "consistency": (sweeps.run_consistency, sweeps.CONSISTENCY_FIELDS, True),
+    "recovery": (sweeps.run_recovery, sweeps.RECOVERY_FIELDS, True),
+    "theorem2": (sweeps.run_theorem2_demo, sweeps.THEOREM2_FIELDS, False),
+    "ce-continuity": (sweeps.run_ce_continuity, sweeps.CE_CONTINUITY_FIELDS, False),
+    "nonid": (sweeps.run_nonidentification_demo, sweeps.NONID_FIELDS, False),
+    "separation": (sweeps.run_separation, sweeps.SEPARATION_FIELDS, False),
+    "vc": (sweeps.run_vc, sweeps.VC_FIELDS, False),
+    "uniqueness": (sweeps.run_dense_uniqueness_check, sweeps.UNIQUENESS_FIELDS, False),
+    "bound": (sweeps.run_bound, sweeps.BOUND_FIELDS, False),
 }
 
 
-def load_config(path: str, required: set[str], optional: set[str]) -> dict:
+def load_config(path: str, table: dict[str, Field]) -> dict:
+    """The JSON config at path, with the names its field table allows and requires."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -88,10 +60,10 @@ def load_config(path: str, required: set[str], optional: set[str]) -> dict:
         raise ConfigError(
             f"config {p} needs \"version\": {CONFIG_VERSION}, got {cfg.get('version')!r}"
         )
-    allowed = required | optional | _COMMON_OPTIONAL | {"version"}
-    unknown = sorted(set(cfg) - allowed)
+    unknown = sorted(set(cfg) - set(table) - {"version"})
     if unknown:
         raise ConfigError(f"config {p} has unknown fields: {', '.join(unknown)}")
+    required = {name for name, field in table.items() if field.default is REQUIRED}
     missing = sorted(required - set(cfg))
     if missing:
         raise ConfigError(f"config {p} is missing fields: {', '.join(missing)}")
@@ -104,8 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Utility recovery experiments over binary choice data.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in _REGISTRY:
-        p = sub.add_parser(name)
+    for name, (_, table, _) in _REGISTRY.items():
+        fields = [f"  version: {CONFIG_VERSION} (required)"]
+        fields += [field.help(key) for key, field in table.items()]
+        p = sub.add_parser(
+            name,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="config fields:\n" + "\n".join(fields),
+        )
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="runs", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -133,14 +111,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handler, required, optional, takes_threads = _REGISTRY[args.command]
+    handler, table, takes_threads = _REGISTRY[args.command]
     try:
-        cfg = load_config(args.config, required, optional)
+        cfg = load_config(args.config, table)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        seed = cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if args.replicates is not None:
             cfg["replicates"] = args.replicates
         start = time.perf_counter()
@@ -153,10 +128,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")
         return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except RecoveryLabError as exc:
+    except (OSError, RecoveryLabError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     return 0

@@ -90,35 +90,23 @@ class SweepOutput:
     extra_files: dict[str, str] = field(default_factory=dict)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
+        """Render every file, then create ``out_dir`` and write them, so a
+        file that cannot be rendered (a NaN cell, say) leaves no directory."""
+        name = self.report.command
+        texts = {"report": ("report.json", self.report.to_json())}
+        if self.csv_header:
+            texts["csv"] = (f"{name}.csv", csv_text(self.csv_header, self.csv_rows))
+        if self.series:
+            svg = line_chart_svg(self.chart_title or name, self.x_label, self.y_label, self.series)
+            texts["svg"] = (f"{name}.svg", svg)
+        texts.update((fname, (fname, content)) for fname, content in self.extra_files.items())
+        texts["timing"] = ("timing.txt", f"wall_time_seconds {self.report.wall_time_seconds:.3f}\n")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        name = self.report.command
         written: dict[str, Path] = {}
-        report_path = out / "report.json"
-        report_path.write_text(self.report.to_json(), encoding="utf-8")
-        written["report"] = report_path
-        if self.csv_header:
-            csv_path = out / f"{name}.csv"
-            csv_path.write_text(csv_text(self.csv_header, self.csv_rows), encoding="utf-8")
-            written["csv"] = csv_path
-        if self.series:
-            svg_path = out / f"{name}.svg"
-            svg_path.write_text(
-                line_chart_svg(
-                    self.chart_title or name, self.x_label, self.y_label, self.series
-                ),
-                encoding="utf-8",
-            )
-            written["svg"] = svg_path
-        for fname, content in self.extra_files.items():
-            p = out / fname
-            p.write_text(content, encoding="utf-8")
-            written[fname] = p
-        timing = out / "timing.txt"
-        timing.write_text(
-            f"wall_time_seconds {self.report.wall_time_seconds:.3f}\n", encoding="utf-8"
-        )
-        written["timing"] = timing
+        for key, (fname, text) in texts.items():
+            written[key] = out / fname
+            written[key].write_text(text, encoding="utf-8")
         return written
 
 

@@ -1,9 +1,11 @@
 """The experiment sweeps behind each CLI subcommand.
 
-Each run_* function consumes a validated config dict and produces a
-SweepOutput (report + CSV rows + chart series).  Replicates and sweep
-cells are pure functions of derived seeds, executed in a deterministic
-order, so outputs do not depend on the worker thread count.
+Each run_* function first reads its config dict through its field table
+(``*_FIELDS``, see config.py), which checks every field and builds each
+descriptor once, and produces a SweepOutput (report + CSV rows + chart
+series).  Replicates and sweep cells are pure functions of derived seeds,
+executed in a deterministic order, so outputs do not depend on the worker
+thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..estimation import (
     vc_lower_bound,
 )
 from ..errors import ConfigError
-from ..lotteries import UNIT, Interval, lottery
+from ..lotteries import UNIT, lottery
 from ..noisy_choice import (
     dataset_text,
     generate_dataset,
@@ -50,6 +52,21 @@ from ..wald_env import (
     WaldUtility,
     domain_from_dict,
     lattice_points,
+)
+from .config import (
+    INTERVAL,
+    SCHEDULE,
+    Field,
+    as_float,
+    as_int,
+    as_list,
+    choice,
+    count,
+    counts,
+    fields,
+    number,
+    read_fields,
+    truncation,
 )
 from .prefgrids import grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
@@ -77,38 +94,88 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _interval(cfg: dict) -> Interval:
-    lo, hi = cfg.get("interval", (0.0, 1.0))
-    return Interval(float(lo), float(hi))
+# ---------------------------------------------------------------------------
+# config fields that build descriptors (the generic readers are in config.py)
+# ---------------------------------------------------------------------------
 
 
-def _count(cfg: dict, field: str, default=None, minimum: int = 0) -> int:
-    """cfg[field], or default when absent, as an integer >= minimum."""
-    value = cfg.get(field, default)
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        count = None
-    if count is None or count < minimum:
-        raise ConfigError(f"{field} must be an integer >= {minimum}, got {value!r}")
-    return count
+def _preference(spec, got) -> WaldUtility:
+    pref, domain = WaldUtility.from_dict(spec), got.domain
+    if pref.dim != domain.dim:
+        raise ValueError(f"it has dimension {pref.dim} but the domain {domain.dim}")
+    if pref.kind != LINEAR and isinstance(domain, BoxDomain) and min(domain.lo) < 0:
+        raise ValueError(f"{pref.kind} needs nonnegative bundles, box lo is {list(domain.lo)}")
+    return pref
 
 
-def _parsed(field: str, build, spec, *args):
-    """build(spec, *args), with a malformed descriptor a ConfigError naming the field."""
-    try:
-        return build(spec, *args)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{field}: bad descriptor {spec!r}: {exc!r}") from None
+def _exponent(value, got) -> int:
+    if value is None:  # homothetic cone environments double the dimension exponent
+        return 2 * got.domain.dim if isinstance(got.domain, ConeDomain) else got.domain.dim
+    return as_int(value, 1)
 
 
-def _default_exponent(domain) -> int:
-    # homothetic cone environments double the dimension exponent
-    return 2 * domain.dim if isinstance(domain, ConeDomain) else domain.dim
+def _fit_domain(spec, got):
+    if spec is None and (spec := got.dataset.meta.get("domain")) is None:
+        raise ConfigError("domain is missing: the dataset's meta line has none; set it in the config")
+    return domain_from_dict(spec)
 
 
-def _header(extra_notes: list[str]) -> dict:
-    return {"notes": [*STANDARD_NOTES, *extra_notes]}
+def _candidates(spec, got) -> list[AAPreference]:
+    grid = grid_from_config(spec, got.interval)
+    if not grid:
+        raise ValueError("the grid is empty")
+    if grid[0].states.n_states != got.states:
+        raise ValueError(f"the grid has {grid[0].states.n_states} states, not {got.states}")
+    return grid
+
+
+def _true_index(value, got) -> int:
+    if as_int(value, 0) >= len(got.candidates):
+        raise ValueError(f"the grid has {len(got.candidates)} members")
+    return value
+
+
+def _proposals(value, got) -> list | None:
+    for c in [] if value is None else as_list(value, 0):
+        if c and np.shape(np.asarray(c, dtype=float))[1:] != (2, got.domain.dim):
+            raise ValueError(f"{c!r} is not a list of (x, y) pairs of {got.domain.dim}-vectors")
+    return value
+
+
+def _vector(value) -> np.ndarray:
+    return np.array([as_float(x) for x in as_list(value, 1)])
+
+
+def _prizes(value, got) -> np.ndarray:
+    v = _vector(value)
+    if float(v.sum()) ** 2 - len(v) * (float(v @ v) - 1.0) < 0:
+        raise ValueError("no unit-norm renormalization exists at k = 1")
+    return v
+
+
+def _prior(value, got) -> np.ndarray:
+    p = _vector(value)
+    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError
+    return p
+
+
+DOMAIN = Field("a domain descriptor", lambda v, got: domain_from_dict(v))
+NOISE = Field("a noise descriptor", lambda v, got: noise_from_dict(v))
+FAMILY = Field("a utility family descriptor", lambda v, got: UtilityFamily.from_dict(v, got.domain))
+PREFERENCE = Field("a utility descriptor over the domain", _preference)
+EXPONENT = Field("an integer >= 1 (default: the dimension, doubled on a cone)", _exponent, None)
+POSITIVE = number("a number > 0", lambda x: x > 0)
+CANDIDATES = Field("a candidate grid descriptor over the config's states", _candidates)
+KINDS = ("eu", "maxmin", "variational")
+
+
+def _output(command: str, cfg: dict, seeds: dict, notes: list[str], cells: list[dict],
+            csv_header: str = "", csv_rows: list[list] | None = None, **chart) -> SweepOutput:
+    """The run's report (the raw config echoed, the standard notes before the
+    run's own) with its CSV table and chart or extra files."""
+    report = RunReport(command, cfg, seeds, {"notes": [*STANDARD_NOTES, *notes]}, cells)
+    return SweepOutput(report, csv_header, csv_rows or [], **chart)
 
 
 # ---------------------------------------------------------------------------
@@ -116,66 +183,36 @@ def _header(extra_notes: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+GEN_FIELDS = fields(n=count(0), domain=DOMAIN, noise=NOISE, preference=PREFERENCE)
+
+
 def run_gen(cfg: dict) -> SweepOutput:
-    domain = _parsed("domain", domain_from_dict, cfg["domain"])
-    noise = _parsed("noise", noise_from_dict, cfg["noise"])
-    pref = _parsed("preference", WaldUtility.from_dict, cfg["preference"])
-    if pref.dim != domain.dim:
-        raise ConfigError(f"preference has dimension {pref.dim} but the domain {domain.dim}")
-    if pref.kind != LINEAR and isinstance(domain, BoxDomain) and min(domain.lo) < 0:
-        raise ConfigError(
-            f"preference: {pref.kind} needs nonnegative bundles, box lo is {list(domain.lo)}"
-        )
-    seed = int(cfg.get("seed", 0))
-    n = _count(cfg, "n")
-    ds = generate_dataset(domain, pref, noise, n, seed)
-    report = RunReport(
-        command="gen",
-        config=cfg,
-        seeds={"seed": seed},
-        header=_header(["record i draws from the counter stream (seed, i)"]),
-        cells=[{"cell": "dataset", "n": n}],
-    )
-    return SweepOutput(
-        report,
-        csv_header="",
-        csv_rows=[],
-        extra_files={"dataset.jsonl": dataset_text(ds)},
-    )
+    f = read_fields(cfg, GEN_FIELDS)
+    ds = generate_dataset(f.domain, f.preference, f.noise, f.n, f.seed)
+    notes = ["record i draws from the counter stream (seed, i)"]
+    cells = [{"cell": "dataset", "n": f.n}]
+    return _output("gen", cfg, {"seed": f.seed}, notes, cells,
+                   extra_files={"dataset.jsonl": dataset_text(ds)})
+
+
+FIT_FIELDS = fields(
+    refinements=count(0, 2),
+    dataset=Field("the path of a JSONL choice dataset", lambda v, got: read_dataset(v)),
+    domain=Field("a domain descriptor (default: the dataset's)", _fit_domain, None),
+    family=FAMILY,
+)
 
 
 def run_fit(cfg: dict) -> SweepOutput:
     from .. import _jsonio
 
-    refinements = _count(cfg, "refinements", 2)
-    ds = read_dataset(cfg["dataset"])
-    spec = cfg.get("domain") or ds.meta.get("domain")
-    if spec is None:
-        raise ConfigError("domain is missing: the dataset's meta line has none; set it in the config")
-    domain = _parsed("domain", domain_from_dict, spec)
-    family = _parsed("family", UtilityFamily.from_dict, cfg["family"], domain)
-    result = erm_fit(family, ds, refinements=refinements)
-    report = RunReport(
-        command="fit",
-        config=cfg,
-        seeds={},
-        header=_header(["ties break toward the lexicographically smallest parameters"]),
-        cells=[
-            {
-                "cell": "fit",
-                "score": result.score,
-                "ties": result.ties,
-                "n": result.n,
-                "grid_size": result.search_log["grid_size"],
-            }
-        ],
-    )
-    return SweepOutput(
-        report,
-        csv_header="",
-        csv_rows=[],
-        extra_files={"fit.json": _jsonio.dumps(result.to_dict()) + "\n"},
-    )
+    f = read_fields(cfg, FIT_FIELDS)
+    result = erm_fit(f.family, f.dataset, refinements=f.refinements)
+    notes = ["ties break toward the lexicographically smallest parameters"]
+    cell = {"cell": "fit", "score": result.score, "ties": result.ties, "n": result.n,
+            "grid_size": result.search_log["grid_size"]}
+    return _output("fit", cfg, {}, notes, [cell],
+                   extra_files={"fit.json": _jsonio.dumps(result.to_dict()) + "\n"})
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +220,32 @@ def run_fit(cfg: dict) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
+CONSISTENCY_FIELDS = fields(
+    domain=DOMAIN, family=FAMILY, noise=NOISE, true_preference=PREFERENCE, n_grid=counts(1),
+    replicates=count(1, 5), eval_steps=count(1, 16),
+    delta=number("a number in (0, 1]", lambda x: 0 < x <= 1, 0.1), exponent_d=EXPONENT,
+    vc_dimension=Field("an integer >= 0 (default: found by a shattering search)",
+                       lambda v, got: None if v is None else as_int(v, 0), None),
+    vc_k=count(1, 2), vc_trials=count(1, 10),
+)
+
+
 def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
-    domain = domain_from_dict(cfg["domain"])
-    family = UtilityFamily.from_dict(cfg["family"], domain)
-    noise = noise_from_dict(cfg["noise"])
-    u_true = WaldUtility.from_dict(cfg["true_preference"])
-    seed = int(cfg.get("seed", 0))
-    n_grid = sorted(int(n) for n in cfg["n_grid"])
-    replicates = int(cfg.get("replicates", 5))
-    eval_grid = lattice_points(domain, int(cfg.get("eval_steps", 16)))
-    delta = float(cfg.get("delta", 0.1))
-    exponent = int(cfg.get("exponent_d", _default_exponent(domain)))
-    if "vc_dimension" in cfg:
-        vc = int(cfg["vc_dimension"])
-    else:
-        vc = vc_lower_bound(
-            family, domain, k=int(cfg.get("vc_k", 2)), trials=int(cfg.get("vc_trials", 10)),
-            seed=seed,
-        )
+    f = read_fields(cfg, CONSISTENCY_FIELDS)
+    family, u_true, seed, n_grid = f.family, f.true_preference, f.seed, f.n_grid
+    eval_grid = lattice_points(f.domain, f.eval_steps)
+    delta, exponent, vc = f.delta, f.exponent_d, f.vc_dimension
+    if vc is None:
+        vc = vc_lower_bound(family, f.domain, k=f.vc_k, trials=f.vc_trials, seed=seed)
     vc = max(vc, 1)
 
     def one_cell(cell):
         n, rep = cell
-        ds = generate_dataset(domain, u_true, noise, n, [seed, n, rep])
+        ds = generate_dataset(f.domain, u_true, f.noise, n, [seed, n, rep])
         fit = erm_fit(family, ds)
         return n, rep, rho(fit.best, u_true, eval_grid), fit.score
 
-    cells_in = [(n, rep) for n in n_grid for rep in range(replicates)]
+    cells_in = [(n, rep) for n in n_grid for rep in range(f.replicates)]
     rows = parallel_map(one_cell, cells_in, threads)
 
     by_n: dict[int, list[float]] = {n: [] for n in n_grid}
@@ -235,32 +271,21 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
             }
         )
         cells.append(stats)
-    report = RunReport(
-        command="consistency",
-        config=cfg,
-        seeds={"seed": seed, "cell_seed_rule": "[seed, n, replicate]"},
-        header=_header(
-            [
-                f"bound constants fitted on the smallest cell: K=1, C_bar={c_bar!r}",
-                f"vc_lower_bound={vc}, exponent D={exponent} "
-                "(stated separation exponents differ between the d and 2d forms; "
-                "D follows the environment default and is configurable)",
-            ]
-        ),
-        cells=cells,
-    )
-    return SweepOutput(
-        report,
-        csv_header="n,replicate,rho,score,bound",
-        csv_rows=csv_rows,
-        series={
-            "median rho": ([float(n) for n in n_grid], [quantile_stats(by_n[n])["q50"] for n in n_grid]),
-            "bound": ([float(n) for n in n_grid], [bound_eval(bp, n) for n in n_grid]),
-        },
-        chart_title="estimation error vs sample size",
-        x_label="n",
-        y_label="rho",
-    )
+    notes = [
+        f"bound constants fitted on the smallest cell: K=1, C_bar={c_bar!r}",
+        f"vc_lower_bound={vc}, exponent D={exponent} "
+        "(stated separation exponents differ between the d and 2d forms; "
+        "D follows the environment default and is configurable)",
+    ]
+    ns = [float(n) for n in n_grid]
+    series = {
+        "median rho": (ns, [quantile_stats(by_n[n])["q50"] for n in n_grid]),
+        "bound": (ns, [bound_eval(bp, n) for n in n_grid]),
+    }
+    seeds = {"seed": seed, "cell_seed_rule": "[seed, n, replicate]"}
+    return _output("consistency", cfg, seeds, notes, cells, "n,replicate,rho,score,bound",
+                   csv_rows, series=series, chart_title="estimation error vs sample size",
+                   x_label="n", y_label="rho")
 
 
 # ---------------------------------------------------------------------------
@@ -268,70 +293,34 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
-def _truncation(field: str, denominator_bound, grid_count) -> tuple[int, int]:
-    """One truncation level's (denominator_bound, grid_count), checked."""
-    den, gc = int(denominator_bound), int(grid_count)
-    if den < 1 or gc < 2:
-        raise ConfigError(
-            f"{field} needs denominator_bound >= 1 and grid_count >= 2, got {den} and {gc}"
-        )
-    return den, gc
-
-
-def _candidates(cfg: dict, interval: Interval, states: int) -> list[AAPreference]:
-    """The config's candidate grid: nonempty, over the config's states."""
-    grid = grid_from_config(cfg["candidates"], interval)
-    if not grid:
-        raise ConfigError("candidates: the grid is empty")
-    if grid[0].states.n_states != states:
-        raise ConfigError(
-            f"candidates: the grid has {grid[0].states.n_states} states but states is {states}"
-        )
-    return grid
-
-
 def _codes(d: np.ndarray) -> np.ndarray:
     """Choice codes of value differences: 0 tie, 1 first act, 2 second act."""
     return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
 
 
-def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
-    interval = _interval(cfg)
-    states = _count(cfg, "states", minimum=1)
-    trunc = cfg["truncation"]
-    den, gc = _truncation("truncation", trunc["denominator_bound"], trunc["grid_count"])
-    k_grid = sorted(int(k) for k in cfg["k_grid"])
-    if not k_grid or k_grid[0] < 0:
-        raise ConfigError(f"k_grid must list non-negative pair counts, got {k_grid}")
-    replicates = _count(cfg, "replicates", 3, minimum=1)
-    seed = int(cfg.get("seed", 0))
-    dis_m = _count(cfg, "disagreement_m", 4000, minimum=1)
-    candidates = _candidates(cfg, interval, states)
-    true_index = int(cfg["true_index"])
-    if not 0 <= true_index < len(candidates):
-        raise ConfigError(
-            f"true_index must lie in [0, {len(candidates)}), the candidate grid, got {true_index}"
-        )
-    true = candidates[true_index]
+RECOVERY_FIELDS = fields(
+    states=count(1), interval=INTERVAL, truncation=truncation(), k_grid=counts(0),
+    replicates=count(1, 3), disagreement_m=count(1, 4000), candidates=CANDIDATES,
+    true_index=Field("an index into the candidate grid", _true_index),
+)
 
-    m_universe = build_sigma(states, interval, den, gc, k=1).universe_size
+
+def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
+    f = read_fields(cfg, RECOVERY_FIELDS)
+    (den, gc), k_grid, seed, candidates = f.truncation, f.k_grid, f.seed, f.candidates
+    true = candidates[f.true_index]
+    m_universe = build_sigma(f.states, f.interval, den, gc, k=1).universe_size
 
     def one_replicate(rep: int):
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
-        sig = build_sigma(
-            states,
-            interval,
-            den,
-            gc,
-            k=max(k_grid[-1], 1),  # a k=0 cell is a vacuous constraint
-            permutation=perm,
-        )
+        # a k=0 cell is a vacuous constraint
+        sig = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1), permutation=perm)
         values = universe_values(candidates, sig)
-        v_true = values[true_index]
+        v_true = values[f.true_index]
         pairs = np.asarray(sig.pairs)
         rng2 = np.random.default_rng([seed, rep, 1])
-        ii = rng2.integers(0, m_universe, dis_m)
-        jj = rng2.integers(0, m_universe, dis_m)
+        ii = rng2.integers(0, m_universe, f.disagreement_m)
+        jj = rng2.integers(0, m_universe, f.disagreement_m)
         # Survivors nest as k grows, so each cell codes only its new pairs and
         # only the rows still alive, and the per-row statistics are computed
         # once, for the rows alive at the first cell.
@@ -360,11 +349,8 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
             out.append((k, rep, len(alive), d, dv, du, False))
         return out
 
-    all_rows = [
-        row
-        for rep_rows in parallel_map(one_replicate, range(replicates), threads)
-        for row in rep_rows
-    ]
+    reps = parallel_map(one_replicate, range(f.replicates), threads)
+    all_rows = [row for rep_rows in reps for row in rep_rows]
     csv_rows = [
         [k, rep, n_alive, "", "", ""] if flag else [k, rep, n_alive, d, dv, du]
         for (k, rep, n_alive, d, dv, du, flag) in all_rows
@@ -373,37 +359,20 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
     for k in k_grid:
         sub = [r for r in all_rows if r[0] == k]
         stats = quantile_stats([r[3] for r in sub if not r[6]])
-        cells.append(
-            {
-                "cell": k,
-                "replicates": replicates,
-                "survivors_q50": float(np.median([r[2] for r in sub])),
-                "empty_cells": sum(1 for r in sub if r[6]),
-                **stats,
-            }
-        )
+        survivors_q50 = float(np.median([r[2] for r in sub]))
+        cells.append({"cell": k, "replicates": f.replicates, "survivors_q50": survivors_q50,
+                      "empty_cells": sum(1 for r in sub if r[6]), **stats})
+    notes = [
+        "choices are noiseless; replicates perturb only the enumeration order",
+        "disagreement sampled uniformly from the truncation-level universe",
+    ]
+    seeds = {"seed": seed, "replicate_rule": "universe permuted by [seed, replicate]"}
     med_series = [c.get("q50", 0.0) for c in cells]
-    report = RunReport(
-        command="recovery",
-        config=cfg,
-        seeds={"seed": seed, "replicate_rule": "universe permuted by [seed, replicate]"},
-        header=_header(
-            [
-                "choices are noiseless; replicates perturb only the enumeration order",
-                "disagreement sampled uniformly from the truncation-level universe",
-            ]
-        ),
-        cells=cells,
-    )
-    return SweepOutput(
-        report,
-        csv_header="k,replicate,survivors,max_disagreement,max_dv,max_du",
-        csv_rows=csv_rows,
-        series={"median worst disagreement": ([float(k) for k in k_grid], med_series)},
-        chart_title="worst surviving rationalizer vs experiment size",
-        x_label="k",
-        y_label="disagreement",
-    )
+    return _output("recovery", cfg, seeds, notes, cells,
+                   "k,replicate,survivors,max_disagreement,max_dv,max_du", csv_rows,
+                   series={"median worst disagreement": ([float(k) for k in k_grid], med_series)},
+                   chart_title="worst surviving rationalizer vs experiment size",
+                   x_label="k", y_label="disagreement")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +385,9 @@ def _index_at(eps: float) -> BernoulliIndex:
 
 
 def _sequence_family(kind: str):
-    """pref_at(eps): the target at eps=0, approximants at eps = 2**-k."""
+    """pref_at(eps): the target at eps=0, approximants at eps = 2**-k.
+
+    ``kind`` is one of KINDS; the field tables refuse any other."""
     if kind == "eu":
 
         def pref_at(eps: float) -> AAPreference:
@@ -445,17 +416,19 @@ def _sequence_family(kind: str):
             costs[bump] += 0.05 * eps
             return AAPreference.variational(_index_at(eps), CostFunction(grid, tuple(costs)))
 
-    else:
-        raise ConfigError(f"kind: unknown sequence kind {kind!r}; use eu, maxmin or variational")
     return pref_at
 
 
+THEOREM2_FIELDS = fields(
+    kind=choice("all", *KINDS, default="all"), k_max=count(0, 12),
+    act_truncation=truncation({"denominator_bound": 2, "grid_count": 3}), z_steps=count(1, 8),
+)
+
+
 def run_theorem2_demo(cfg: dict) -> SweepOutput:
-    kinds = ["eu", "maxmin", "variational"] if cfg.get("kind", "all") == "all" else [cfg["kind"]]
-    k_max = int(cfg.get("k_max", 12))
-    trunc = cfg.get("act_truncation", {"denominator_bound": 2, "grid_count": 3})
-    z_steps = int(cfg.get("z_steps", 8))
-    den, gc = _truncation("act_truncation", trunc["denominator_bound"], trunc["grid_count"])
+    f = read_fields(cfg, THEOREM2_FIELDS)
+    kinds = KINDS if f.kind == "all" else [f.kind]
+    k_max, (den, gc), z_steps = f.k_max, f.act_truncation, f.z_steps
     grid = list(build_sigma(2, UNIT, den, gc, k=1).universe)
     csv_rows = []
     cells = []
@@ -475,33 +448,22 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
         series[f"{kind} du"] = (ks, dus)
         series[f"{kind} dv"] = (ks, dvs)
         series[f"{kind} dh"] = (ks, dhs)
-    report = RunReport(
-        command="theorem2",
-        config=cfg,
-        seeds={},
-        header=_header(
-            [
-                "parameter sequences approach the target geometrically (ratio 1/2)",
-                f"dv evaluated on the {len(grid)}-act universe; dh on the "
-                f"{{0..1}}^S lattice with step 1/{z_steps}",
-            ]
-        ),
-        cells=cells,
-    )
-    return SweepOutput(
-        report,
-        csv_header="kind,k,du,dv,dh",
-        csv_rows=csv_rows,
-        series=series,
-        chart_title="representation distances along converging preferences",
-        x_label="k",
-        y_label="sup distance",
-    )
+    notes = [
+        "parameter sequences approach the target geometrically (ratio 1/2)",
+        f"dv evaluated on the {len(grid)}-act universe; dh on the "
+        f"{{0..1}}^S lattice with step 1/{z_steps}",
+    ]
+    return _output("theorem2", cfg, {}, notes, cells, "kind,k,du,dv,dh", csv_rows, series=series,
+                   chart_title="representation distances along converging preferences",
+                   x_label="k", y_label="sup distance")
+
+
+CE_CONTINUITY_FIELDS = fields(kind=choice(*KINDS, default="eu"), k_max=count(0, 12))
 
 
 def run_ce_continuity(cfg: dict) -> SweepOutput:
-    k_max = int(cfg.get("k_max", 12))
-    pref_at = _sequence_family(cfg.get("kind", "eu"))
+    f = read_fields(cfg, CE_CONTINUITY_FIELDS)
+    k_max, pref_at = f.k_max, _sequence_family(f.kind)
     target = pref_at(0.0)
 
     def lottery_at(eps: float):
@@ -517,22 +479,10 @@ def run_ce_continuity(cfg: dict) -> SweepOutput:
         csv_rows.append([k, ce_k, gap])
         gaps.append(gap)
     cells = [{"cell": k, "ce_gap": g} for k, g in enumerate(gaps)]
-    report = RunReport(
-        command="ce-continuity",
-        config=cfg,
-        seeds={},
-        header=_header(["certainty equivalents inverted by bisection on the index"]),
-        cells=cells,
-    )
-    return SweepOutput(
-        report,
-        csv_header="k,ce,gap",
-        csv_rows=csv_rows,
-        series={"|ce_k - ce|": ([float(k) for k in range(k_max + 1)], gaps)},
-        chart_title="certainty-equivalent continuity",
-        x_label="k",
-        y_label="gap",
-    )
+    notes = ["certainty equivalents inverted by bisection on the index"]
+    return _output("ce-continuity", cfg, {}, notes, cells, "k,ce,gap", csv_rows,
+                   series={"|ce_k - ce|": ([float(k) for k in range(k_max + 1)], gaps)},
+                   chart_title="certainty-equivalent continuity", x_label="k", y_label="gap")
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +490,17 @@ def run_ce_continuity(cfg: dict) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
+NONID_FIELDS = fields(
+    prize_values=Field("a nonempty list of numbers with a unit-norm renormalization at k = 1",
+                       _prizes, [0.0, 0.4, 1.0]),
+    state_prior=Field("a probability vector", _prior, [0.35, 0.65]),
+    k_max=count(1, 50), m=count(1, 4000),
+)
+
+
 def run_nonidentification_demo(cfg: dict) -> SweepOutput:
-    prize_values = np.asarray(cfg.get("prize_values", (0.0, 0.4, 1.0)), dtype=float)
-    state_prior = np.asarray(cfg.get("state_prior", (0.35, 0.65)), dtype=float)
-    k_max = int(cfg.get("k_max", 50))
-    m = int(cfg.get("m", 4000))
-    seed = int(cfg.get("seed", 0))
+    f = read_fields(cfg, NONID_FIELDS)
+    prize_values, state_prior, k_max, m, seed = f.prize_values, f.state_prior, f.k_max, f.m, f.seed
     n = len(prize_values)
     s = float(prize_values.sum())
     norm2 = float(prize_values @ prize_values)
@@ -576,32 +531,17 @@ def run_nonidentification_demo(cfg: dict) -> SweepOutput:
         )
         disagreements.append(flip)
         dists.append(dist_const)
-    report = RunReport(
-        command="nonid",
-        config=cfg,
-        seeds={"seed": seed},
-        header=_header(
-            [
-                "fixed preference; renormalized representations drift toward a "
-                "constant function while choices never change",
-                f"finite prize set of size {n}",
-            ]
-        ),
-        cells=cells,
-    )
+    notes = [
+        "fixed preference; renormalized representations drift toward a "
+        "constant function while choices never change",
+        f"finite prize set of size {n}",
+    ]
     ks = [float(k) for k in range(1, k_max + 1)]
-    return SweepOutput(
-        report,
-        csv_header="k,disagreement,distance_to_constant,beta",
-        csv_rows=csv_rows,
-        series={
-            "disagreement": (ks, disagreements),
-            "distance to constant": (ks, dists),
-        },
-        chart_title="representation drift without preference drift",
-        x_label="k",
-        y_label="value",
-    )
+    series = {"disagreement": (ks, disagreements), "distance to constant": (ks, dists)}
+    return _output("nonid", cfg, {"seed": seed}, notes, cells,
+                   "k,disagreement,distance_to_constant,beta", csv_rows, series=series,
+                   chart_title="representation drift without preference drift",
+                   x_label="k", y_label="value")
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +560,21 @@ def _has_strict_inversion(va: np.ndarray, vb: np.ndarray, tol: float = VALUE_TIE
     return bool(np.any(ok & (np.where(ok, prefix_max[np.maximum(cut, 0)], -np.inf) > sb + tol)))
 
 
+UNIQUENESS_FIELDS = fields(
+    states=count(1), interval=INTERVAL, candidates=CANDIDATES, schedule=SCHEDULE
+)
+
+
 def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
-    interval = _interval(cfg)
-    states = _count(cfg, "states", minimum=1)
-    members = _candidates(cfg, interval, states)
-    schedule = [_truncation(f"schedule[{i}]", d, g) for i, (d, g) in enumerate(cfg["schedule"])]
+    f = read_fields(cfg, UNIQUENESS_FIELDS)
+    members, schedule = f.candidates, f.schedule
     pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
     level_found = {p: -1 for p in pairs}
     for level, (den, gc) in enumerate(schedule):
         open_pairs = [p for p in pairs if level_found[p] < 0]
         if not open_pairs:
             break
-        sig = build_sigma(states, interval, den, gc, k=1)
+        sig = build_sigma(f.states, f.interval, den, gc, k=1)
         values = universe_values(members, sig)
         for i, j in open_pairs:
             if _has_strict_inversion(values[i], values[j]):
@@ -648,29 +591,16 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
         for level, (den, gc) in enumerate(schedule)
     ]
     max_level = max((v for v in level_found.values() if v >= 0), default=-1)
-    report = RunReport(
-        command="uniqueness",
-        config=cfg,
-        seeds={},
-        header=_header(
-            [
-                f"distinct members: {len(pairs)} pairs; "
-                f"max truncation level needed: {max_level}; "
-                f"unseparated pairs: {unseparated}",
-            ]
-        ),
-        cells=cells,
-    )
-    counts = [c["pairs_separated_here"] for c in cells]
-    return SweepOutput(
-        report,
-        csv_header="first,second,level",
-        csv_rows=csv_rows,
-        series={"pairs separated": ([float(c["cell"]) for c in cells], [float(c) for c in counts])},
-        chart_title="separation level distribution",
-        x_label="truncation level",
-        y_label="pairs",
-    )
+    notes = [
+        f"distinct members: {len(pairs)} pairs; "
+        f"max truncation level needed: {max_level}; "
+        f"unseparated pairs: {unseparated}",
+    ]
+    separated = [float(c["pairs_separated_here"]) for c in cells]
+    return _output("uniqueness", cfg, {}, notes, cells, "first,second,level", csv_rows,
+                   series={"pairs separated": ([float(c["cell"]) for c in cells], separated)},
+                   chart_title="separation level distribution",
+                   x_label="truncation level", y_label="pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -678,99 +608,64 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
+SEPARATION_FIELDS = fields(
+    domain=DOMAIN, family=FAMILY, noise=NOISE, n_pairs=count(1), m=count(1), exponent_d=EXPONENT
+)
+
+
 def run_separation(cfg: dict) -> SweepOutput:
-    domain = domain_from_dict(cfg["domain"])
-    family = UtilityFamily.from_dict(cfg["family"], domain)
-    noise = noise_from_dict(cfg["noise"])
-    exponent = int(cfg.get("exponent_d", _default_exponent(domain)))
+    f = read_fields(cfg, SEPARATION_FIELDS)
+    exponent = f.exponent_d
     scan = separation_exponent_check(
-        family,
-        noise,
-        domain,
-        n_pairs=int(cfg["n_pairs"]),
-        m=int(cfg["m"]),
-        exponent=exponent,
-        seed=int(cfg.get("seed", 0)),
+        f.family, f.noise, f.domain, n_pairs=f.n_pairs, m=f.m, exponent=exponent, seed=f.seed
     )
     csv_rows = [[r, g, s] for r, g, s in scan.rows]
     cells = [
         {"cell": i, "rho": r, "gap": g, "stderr": s}
         for i, (r, g, s) in enumerate(scan.rows)
     ]
-    report = RunReport(
-        command="separation",
-        config=cfg,
-        seeds={"seed": int(cfg.get("seed", 0))},
-        header=_header(
-            [
-                f"exponent D={exponent} "
-                "(the d and 2d forms of the separation statement disagree; "
-                "the exponent is configuration, not inference)",
-                f"empirical constant min gap/rho^D = {scan.empirical_constant!r}; "
-                f"violations={scan.violations}; skipped={scan.skipped}",
-            ]
-        ),
-        cells=cells,
-    )
+    notes = [
+        f"exponent D={exponent} "
+        "(the d and 2d forms of the separation statement disagree; "
+        "the exponent is configuration, not inference)",
+        f"empirical constant min gap/rho^D = {scan.empirical_constant!r}; "
+        f"violations={scan.violations}; skipped={scan.skipped}",
+    ]
     ordered = sorted(scan.rows)
-    return SweepOutput(
-        report,
-        csv_header="rho,gap,stderr",
-        csv_rows=csv_rows,
-        series={"gap": ([r for r, _, _ in ordered], [g for _, g, _ in ordered])},
-        chart_title="identification gap vs representation distance",
-        x_label="rho",
-        y_label="gap",
-    )
+    return _output("separation", cfg, {"seed": f.seed}, notes, cells, "rho,gap,stderr", csv_rows,
+                   series={"gap": ([r for r, _, _ in ordered], [g for _, g, _ in ordered])},
+                   chart_title="identification gap vs representation distance",
+                   x_label="rho", y_label="gap")
+
+
+VC_FIELDS = fields(
+    domain=DOMAIN, family=FAMILY, k=count(1), trials=count(1),
+    proposals=Field("a list of candidate sets, each a list of (x, y) problems", _proposals, None),
+)
 
 
 def run_vc(cfg: dict) -> SweepOutput:
-    domain = domain_from_dict(cfg["domain"])
-    family = UtilityFamily.from_dict(cfg["family"], domain)
+    f = read_fields(cfg, VC_FIELDS)
     got = vc_lower_bound(
-        family,
-        domain,
-        k=int(cfg["k"]),
-        trials=int(cfg["trials"]),
-        seed=int(cfg.get("seed", 0)),
-        proposals=cfg.get("proposals"),
+        f.family, f.domain, k=f.k, trials=f.trials, seed=f.seed, proposals=f.proposals
     )
-    report = RunReport(
-        command="vc",
-        config=cfg,
-        seeds={"seed": int(cfg.get("seed", 0))},
-        header=_header(
-            ["every reported level is witnessed by an exhaustive labeling check"]
-        ),
-        cells=[{"cell": "vc_lower_bound", "value": got}],
-    )
-    return SweepOutput(report, csv_header="vc_lower_bound", csv_rows=[[got]])
+    notes = ["every reported level is witnessed by an exhaustive labeling check"]
+    return _output("vc", cfg, {"seed": f.seed}, notes, [{"cell": "vc_lower_bound", "value": got}],
+                   "vc_lower_bound", [[got]])
+
+
+BOUND_FIELDS = fields(
+    K=POSITIVE, C_bar=POSITIVE, V=count(1), D=count(1),
+    delta=number("a number in (0, 1]", lambda x: 0 < x <= 1), n_grid=counts(1),
+)
 
 
 def run_bound(cfg: dict) -> SweepOutput:
-    bp = BoundParams(
-        K=float(cfg["K"]),
-        C_bar=float(cfg["C_bar"]),
-        V=int(cfg["V"]),
-        D=int(cfg["D"]),
-        delta=float(cfg["delta"]),
-    )
-    n_grid = sorted(int(n) for n in cfg["n_grid"])
+    f = read_fields(cfg, BOUND_FIELDS)
+    bp = BoundParams(K=f.K, C_bar=f.C_bar, V=f.V, D=f.D, delta=f.delta)
+    n_grid = f.n_grid
     vals = [bound_eval(bp, n) for n in n_grid]
-    csv_rows = [[n, v] for n, v in zip(n_grid, vals)]
-    report = RunReport(
-        command="bound",
-        config=cfg,
-        seeds={},
-        header=_header([]),
-        cells=[{"cell": n, "bound": v} for n, v in zip(n_grid, vals)],
-    )
-    return SweepOutput(
-        report,
-        csv_header="n,bound",
-        csv_rows=csv_rows,
-        series={"bound": ([float(n) for n in n_grid], vals)},
-        chart_title="finite-sample bound",
-        x_label="n",
-        y_label="bound",
-    )
+    cells = [{"cell": n, "bound": v} for n, v in zip(n_grid, vals)]
+    return _output("bound", cfg, {}, [], cells, "n,bound", [[n, v] for n, v in zip(n_grid, vals)],
+                   series={"bound": ([float(n) for n in n_grid], vals)},
+                   chart_title="finite-sample bound", x_label="n", y_label="bound")

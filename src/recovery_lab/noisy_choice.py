@@ -19,6 +19,7 @@ numpy ever changes them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,8 +225,14 @@ def _floats(row) -> list[float]:
     return [float(v) for v in row] if int in kinds else row
 
 
+_decode = json.JSONDecoder().raw_decode  # one value and where it ends
+
+
 def read_dataset(path: str | Path) -> Dataset:
-    """Parse and validate a JSONL dataset; every malformed line is a DatasetFormatError."""
+    """Parse and validate a JSONL dataset; every malformed line is a DatasetFormatError.
+
+    Each record line must hold exactly one JSON value, so a record split over
+    two lines is refused even when another line carries one record too many."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -243,14 +250,11 @@ def read_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"bad domain in meta line: {exc!r}", line=1) from exc
     source = "domain"
     chosen, rejected = [], []
-    try:  # one parse for the whole body; line by line only to name a fault
-        parsed = _jsonio.loads("[" + ",".join(lines[1:]) + "]")
-    except ValueError:
-        parsed = []
-    bulk = len(parsed) == len(lines) - 1
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
-            obj = parsed[lineno - 2] if bulk else _jsonio.loads(raw)
+            obj, end = _decode(raw := raw.strip(" \t\r"))  # JSON's own whitespace
+            if end < len(raw):
+                raise ValueError(f"extra data from column {end + 1}")
             c, r = _floats(obj["chosen"]), _floats(obj["rejected"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise DatasetFormatError(f"bad record: {exc}", line=lineno) from exc

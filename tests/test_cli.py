@@ -1,12 +1,21 @@
 """CLI contract: exit codes, outputs, strict configs, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recovery_lab.errors import ConfigError
+from recovery_lab.experiments import cli, sweeps
 from recovery_lab.experiments.cli import cli_main
+from recovery_lab.experiments.report import RunReport, SweepOutput
 from test_acceptance import CLI_CONFIGS
 from test_noisy_choice import BAD_RECORDS, GOOD_RECORD
 
@@ -455,3 +464,146 @@ class TestGenFitConfig:
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, *words)
         assert not (tmp_path / "o").exists()
+
+
+# One-field overrides of CLI_CONFIGS -> the field the one-line message names.
+BAD_CONFIGS = [
+    ("consistency", {"n_grid": ["abc"]}, "n_grid"),
+    ("consistency", {"n_grid": [0, 100]}, "n_grid"),
+    ("consistency", {"n_grid": []}, "n_grid"),
+    ("consistency", {"replicates": 0}, "replicates"),
+    ("consistency", {"replicates": True}, "replicates"),
+    ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 0}}}, "family"),
+    ("consistency", {"family": {}}, "family"),
+    ("consistency", {"noise": {"constant_flip": {"theta": 0.4}}}, "noise"),
+    ("consistency", {"delta": 0}, "delta"),
+    ("consistency", {"exponent_d": 0}, "exponent_d"),
+    ("consistency", {"domain": {"cone": {"alpha": 0.1, "d": 2}}}, "domain"),
+    ("consistency", {"true_preference": {"kind": "x", "weights": [0.5, 0.5]}}, "true_preference"),
+    ("consistency", {"eval_steps": 0}, "eval_steps"),
+    ("vc", {"k": 0}, "k"),
+    ("vc", {"trials": 0}, "trials"),
+    ("vc", {"family": {"quadratic": {"weight_steps": 2}}}, "family"),
+    ("vc", {"proposals": [[[1.0, 0.0]]]}, "proposals"),
+    ("separation", {"m": 0}, "m"),
+    ("separation", {"n_pairs": 0}, "n_pairs"),
+    ("separation", {"family": {"quadratic": {"weight_steps": 2}}}, "family"),
+    ("nonid", {"m": 0}, "m"),
+    ("nonid", {"state_prior": "x"}, "state_prior"),
+    ("nonid", {"state_prior": [0.5, 0.6]}, "state_prior"),
+    ("nonid", {"prize_values": [0.0, 10.0]}, "prize_values"),
+    ("nonid", {"k_max": -1}, "k_max"),
+    ("theorem2", {"act_truncation": {"denominator_bound": 2}}, "act_truncation"),
+    ("theorem2", {"k_max": -1}, "k_max"),
+    ("theorem2", {"z_steps": 0}, "z_steps"),
+    ("ce-continuity", {"k_max": "abc"}, "k_max"),
+    ("ce-continuity", {"k_max": -1}, "k_max"),
+    ("bound", {"K": 0}, "K"),
+    ("bound", {"V": 0}, "V"),
+    ("bound", {"n_grid": [0]}, "n_grid"),
+    ("bound", {"n_grid": []}, "n_grid"),
+    ("bound", {"delta": 2}, "delta"),
+    ("uniqueness", {"schedule": [[1]]}, "schedule[0]"),
+    ("uniqueness", {"schedule": []}, "schedule"),
+    ("uniqueness", {"interval": [1, 0]}, "interval"),
+    ("recovery", {"interval": [1, 0]}, "interval"),
+    ("recovery", {"interval": "x"}, "interval"),
+    ("recovery", {"k_grid": ["a"]}, "k_grid"),
+    ("recovery", {"true_index": "a"}, "true_index"),
+    ("recovery", {"candidates": {}}, "candidates"),
+    ("recovery", {"truncation": {}}, "truncation"),
+    ("recovery", {"replicates": True}, "replicates"),
+    ("gen", {"n": 1.5}, "n"),
+    ("gen", {"n": "7"}, "n"),
+]
+
+
+def run_cli(tmp_path, command, cfg):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    return cli_main([command, "--config", path, "--out", str(tmp_path / "o")])
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("command, over, field", BAD_CONFIGS)
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, command, over, field):
+        assert run_cli(tmp_path, command, {**CLI_CONFIGS[command], **over}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} ") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from([(c, f) for c, cfg in CLI_CONFIGS.items() for f in cfg]),
+        value=st.sampled_from([None, True, False, "abc", [], {}, -1, 0, 1.5, [[1, 2], [3]], [[0.5]]]),
+    )
+    def test_one_malformed_field_never_escapes_the_contract(self, case, value):
+        command, field = case
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(Path(tmp), command, {**CLI_CONFIGS[command], field: value})
+        assert code in (0, 2, 3) and len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+    @pytest.mark.parametrize("command", sorted(cli._REGISTRY))
+    def test_help_lists_every_field_with_default_and_bound(self, capsys, command):
+        assert cli_main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for name, field in cli._REGISTRY[command][1].items():
+            assert field.help(name) in out.splitlines()
+        assert "  seed: an integer >= 0 (default 0)" in out.splitlines()
+
+    def test_help_shows_a_default_and_a_bound(self, capsys):
+        assert cli_main(["recovery", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "  replicates: an integer >= 1 (default 3)" in out
+        assert "  states: an integer >= 1 (required)" in out
+
+    def test_handlers_take_raw_dicts_and_check_them(self):
+        with pytest.raises(ConfigError, match="n_grid"):
+            sweeps.run_bound({**CLI_CONFIGS["bound"], "n_grid": []})
+        with pytest.raises(ConfigError, match="states is missing"):
+            sweeps.run_dense_uniqueness_check({"schedule": [[1, 2]]})
+
+
+class TestPerfbenchHooks:
+    """What perfbench/spans.py patches by name must stay where it looks."""
+
+    @pytest.mark.parametrize("command", ["gen", "fit", "consistency", "recovery"])
+    def test_registry_holds_the_named_handler(self, command):
+        assert cli._REGISTRY[command][0] is getattr(sweeps, f"run_{command}")
+
+    def test_swapped_handler_and_loader_are_the_ones_that_run(self, tmp_path, monkeypatch):
+        calls = []
+        real_handler, real_loader = cli._REGISTRY["bound"][0], cli.load_config
+
+        def handler(cfg):
+            calls.append("handler")
+            return real_handler(cfg)
+
+        def loader(*args):
+            calls.append("load_config")
+            return real_loader(*args)
+
+        monkeypatch.setitem(cli._REGISTRY, "bound", (handler, *cli._REGISTRY["bound"][1:]))
+        monkeypatch.setattr(cli, "load_config", loader)
+        assert run_cli(tmp_path, "bound", CLI_CONFIGS["bound"]) == 0
+        assert calls == ["load_config", "handler"]
+
+    def test_recovery_builds_its_candidate_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = sweeps.grid_from_config
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sweeps, "grid_from_config", counted)
+        assert run_cli(tmp_path, "recovery", CLI_CONFIGS["recovery"]) == 0
+        assert len(calls) == 1
+
+
+def test_unrenderable_report_leaves_no_directory(tmp_path):
+    report = RunReport("bound", {}, {}, {}, [{"cell": 1, "bound": math.nan}])
+    with pytest.raises(ValueError, match="NaN"):
+        SweepOutput(report, csv_header="n,bound", csv_rows=[[1, 0.5]]).write(tmp_path / "o")
+    assert not (tmp_path / "o").exists()

@@ -306,6 +306,17 @@ def reference_dataset_text(ds: Dataset) -> str:
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16,
                1e17, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
+# A record split over lines 2 and 3, and a line that carries one record too
+# many, so that joining the body still counts one value per line.
+SPLIT_RECORDS = [
+    # split inside a list: the lines joined by commas parse
+    ['{"chosen": [0.5, 0.25], "rejected": [0.25', "0.5]}, " + GOOD_RECORD],
+    # split inside a string: the lines joined by commas parse
+    [GOOD_RECORD[:-1] + ', "x": "', '"}', GOOD_RECORD + ", " + GOOD_RECORD],
+    # split inside a nested list: each line wrapped in [ ] and joined by commas parses
+    [GOOD_RECORD[:-1] + ', "x": [[', "]]}", GOOD_RECORD + "], [" + GOOD_RECORD],
+]
+
 
 @st.composite
 def finite_datasets(draw):
@@ -348,6 +359,20 @@ class TestBulkJsonl:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
         assert err.value.line == 3 and "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("lines", SPLIT_RECORDS)
+    def test_record_split_over_two_lines_is_named(self, tmp_path, lines):
+        p = tmp_path / "ds.jsonl"
+        body = "".join(line + "\n" for line in lines)
+        p.write_text(f'{{"format": "choice-dataset/1", "n": {len(lines)}}}\n{body}')
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(p)
+        assert err.value.line == 2 and "line 2" in str(err.value)
+
+    def test_blank_padded_record_line_reads(self, tmp_path):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(f'{{"format": "choice-dataset/1", "n": 1}}\n  {GOOD_RECORD} \n')
+        assert read_dataset(p).chosen.tolist() == [[0.5, 0.25]]
 
     def test_blank_last_line_is_named(self, tmp_path):
         p = tmp_path / "ds.jsonl"
