@@ -47,3 +47,12 @@ def dumps(obj) -> str:
 
 def loads(text: str):
     return json.loads(text)
+
+
+def count_field(body: dict, key: str, minimum: int, default: int | None = None) -> int:
+    """``body[key]`` (or the default) when it is a JSON integer >= minimum; a
+    float such as 2.5 or a bool is refused, not cast."""
+    value = body[key] if default is None else body.get(key, default)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value

@@ -4,16 +4,17 @@ An act assigns one lottery per state of the world.  Preferences over acts
 are represented by a piecewise-linear utility-of-money index u (normalized
 u(a) = 0, u(b) = 1) composed with an aggregator over statewise expected
 utilities: expected utility with a single prior, max-min over a prior set,
-or a variational form penalizing priors through a grounded cost.  The same
-machinery supplies certainty equivalents and the sup-distances between
-representations used by the convergence experiments.
+or a variational form penalizing priors through a grounded cost.  Act values
+take two batched steps, ``eu_table`` then ``aggregate``; scalar calls are
+batches of one.  The same machinery supplies certainty equivalents and the
+sup-distances between representations used by the convergence experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -195,12 +196,8 @@ class CostFunction:
         return CostFunction(tuple(priors), (0.0,) * len(priors))
 
     @cached_property
-    def _finite_mask(self) -> np.ndarray:
-        return np.asarray([math.isfinite(c) for c in self.costs])
-
-    @cached_property
     def _prior_matrix(self) -> np.ndarray:
-        return np.stack([p.as_array for p in self.priors])[self._finite_mask]
+        return np.stack([p.as_array for p, c in zip(self.priors, self.costs) if math.isfinite(c)])
 
     @cached_property
     def _finite_costs(self) -> np.ndarray:
@@ -296,34 +293,59 @@ class AAPreference:
 # ---------------------------------------------------------------------------
 
 
+def eu_table(indices, lotteries) -> np.ndarray:
+    """Expected utility of each lottery under each index, shape (U, L).
+
+    Each index is interpolated once, on the lotteries' pooled money points.
+    Each entry is one contiguous dot, the one a lone lottery takes: a matmul
+    would round some entries differently in the last bit.
+    """
+    if len({u.interval for u in indices} | {lot.interval for lot in lotteries}) > 1:
+        raise IntervalMismatchError("lottery and index on different intervals")
+    points = np.array(sorted({x for lot in lotteries for x in lot.support}))
+    u_points = np.stack([u(points) for u in indices])  # (U, G)
+    table = np.empty((len(indices), len(lotteries)))
+    for c, lot in enumerate(lotteries):
+        u_support = np.ascontiguousarray(u_points[:, np.searchsorted(points, lot.support_array)])
+        table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
+    return table
+
+
+def aggregate(pref: AAPreference, z) -> np.ndarray:
+    """Aggregate rows of statewise utilities, shape (..., S), into values (...).
+
+    Each row takes the BLAS routine a lone vector takes, a dot with each prior
+    or one matrix-vector product with the cost grid: stacked matmul on
+    contiguous rows calls it once per row, so no row depends on its batch.
+    """
+    z, n = np.ascontiguousarray(z, dtype=float), pref.states.n_states
+    if z.shape[-1:] != (n,):
+        raise ShapeMismatchError(f"expected {n} statewise utilities, got shape {z.shape}")
+    if pref.kind == VARIATIONAL:
+        cost = pref.cost
+        return np.min(np.matmul(cost._prior_matrix, z[..., None])[..., 0] + cost._finite_costs, -1)
+    priors = pref.priors if pref.kind == MAXMIN else (pref.prior,)
+    return reduce(np.minimum, (np.matmul(z[..., None, :], p.as_array[:, None])[..., 0, 0]
+                               for p in priors))
+
+
 def expected_utility(u: BernoulliIndex, p: Lottery) -> float:
     """Integral of u against p."""
-    if p.interval != u.interval:
-        raise IntervalMismatchError("lottery and index on different intervals")
-    return float(np.dot(p.probs_array, u(p.support_array)))
+    return float(eu_table([u], [p])[0, 0])
 
 
 def aggregator_eval(pref: AAPreference, z) -> float:
     """Aggregate a vector of statewise utilities into a single value."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (pref.states.n_states,):
-        raise ShapeMismatchError(
-            f"expected {pref.states.n_states} statewise utilities, got shape {z.shape}"
-        )
-    if pref.kind == EU:
-        return float(np.dot(pref.prior.as_array, z))
-    if pref.kind == MAXMIN:
-        return float(min(np.dot(p.as_array, z) for p in pref.priors))
-    cost = pref.cost
-    return float(np.min(cost._prior_matrix @ z + cost._finite_costs))
+    if np.ndim(z) != 1:
+        raise ShapeMismatchError(f"expected one vector of utilities, got shape {np.shape(z)}")
+    return float(aggregate(pref, z))
 
 
 def act_value(pref: AAPreference, f: Act) -> float:
     """Aggregator applied to the statewise expected utilities of the act."""
     if f.n_states != pref.states.n_states:
         raise ShapeMismatchError("act and preference disagree on the state count")
-    z = np.array([expected_utility(pref.index, p) for p in f.per_state])
-    return aggregator_eval(pref, z)
+    return float(aggregate(pref, eu_table([pref.index], f.per_state)[0]))
 
 
 def _invert_index(u: BernoulliIndex, target: float) -> float:
@@ -392,25 +414,28 @@ def index_distance(u1: BernoulliIndex, u2: BernoulliIndex) -> float:
     return float(np.max(np.abs(u1(grid) - u2(grid))))
 
 
-def rep_distance(
-    pref1: AAPreference, pref2: AAPreference, grid: list[Act]
-) -> tuple[float, float]:
+def rep_distance(pref1: AAPreference, pref2: AAPreference, grid: list[Act]) -> tuple[float, float]:
     """(dV, du): sup distances between representations on an evaluation grid.
 
     dV is taken over the given acts, du exactly over the index knot union.
     """
-    if pref1.states.n_states != pref2.states.n_states:
-        raise ShapeMismatchError("preferences disagree on the state count")
     if not grid:
         raise ValueError("rep_distance needs a nonempty act grid")
+    n = pref1.states.n_states
+    if pref2.states.n_states != n or any(f.n_states != n for f in grid):
+        raise ShapeMismatchError("preferences and acts disagree on the state count")
     du = index_distance(pref1.index, pref2.index)
-    dv = max(abs(act_value(pref1, f) - act_value(pref2, f)) for f in grid)
-    return dv, du
+    # one table row per preference over the grid's distinct lotteries, keyed
+    # by id(): the acts share lottery objects, and hashing a Lottery is slow
+    lots = {id(lot): lot for f in grid for lot in f.per_state}
+    col = {key: c for c, key in enumerate(lots)}
+    at = np.array([[col[id(lot)] for lot in f.per_state] for f in grid])
+    table = eu_table([pref1.index, pref2.index], list(lots.values()))
+    v1, v2 = (aggregate(p, row[at]) for p, row in zip((pref1, pref2), table))
+    return float(np.max(np.abs(v1 - v2))), du
 
 
-def aggregator_distance(
-    pref1: AAPreference, pref2: AAPreference, z_steps: int = 8
-) -> float:
+def aggregator_distance(pref1: AAPreference, pref2: AAPreference, z_steps: int = 8) -> float:
     """Sup distance between aggregators on the statewise-utility lattice.
 
     The lattice is {0, 1/z_steps, ..., 1}^S, the default grid used when
@@ -420,9 +445,5 @@ def aggregator_distance(
     if pref2.states.n_states != n:
         raise ShapeMismatchError("preferences disagree on the state count")
     axis = np.linspace(0.0, 1.0, z_steps + 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    worst = 0.0
-    for z in pts:
-        worst = max(worst, abs(aggregator_eval(pref1, z) - aggregator_eval(pref2, z)))
-    return worst
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+    return float(np.max(np.abs(aggregate(pref1, pts) - aggregate(pref2, pts)), initial=0.0))

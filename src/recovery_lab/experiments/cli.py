@@ -113,6 +113,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     handler, table, takes_threads = _REGISTRY[args.command]
     try:
+        if args.replicates is not None and "replicates" not in table:
+            raise ConfigError(f"--replicates: {args.command} has no replicates field")
         cfg = load_config(args.config, table)
         if args.seed is not None:
             cfg["seed"] = args.seed

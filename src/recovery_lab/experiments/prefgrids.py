@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..aa_prefs import AAPreference, BernoulliIndex, Prior
+from .._jsonio import count_field
+from ..aa_prefs import AAPreference, BernoulliIndex, simplex_grid
 from ..lotteries import Interval
 
 
@@ -21,35 +22,20 @@ def index_value_grid(
         raise ValueError("interior knots must lie strictly inside the interval")
     knots = (interval.a, *sorted(knot_positions), interval.b)
     levels = [i / value_steps for i in range(1, value_steps)]
-    out = []
-    for combo in combinations(levels, len(knot_positions)):
-        out.append(BernoulliIndex(interval, knots, (0.0, *combo, 1.0)))
-    return out
+    combos = combinations(levels, len(knot_positions))
+    return [BernoulliIndex(interval, knots, (0.0, *combo, 1.0)) for combo in combos]
 
 
-def eu_grid(
-    states: int,
-    interval: Interval,
-    prior_steps: int,
-    knot_positions: list[float],
-    value_steps: int,
-) -> list[AAPreference]:
+def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: list[float],
+            value_steps: int) -> list[AAPreference]:
     """Expected-utility candidates: prior lattice x index-value lattice.
 
-    One state collapses the prior to the trivial one.  Order is
-    deterministic: priors in lexicographic order, indices within.
+    Priors are ``simplex_grid(states, prior_steps)`` (one state: the trivial
+    prior).  Order is deterministic: priors in lexicographic order, indices
+    within.
     """
     indices = index_value_grid(interval, knot_positions, value_steps)
-    if states == 1:
-        priors = [Prior((1.0,))]
-    else:
-        from .._combinatorics import compositions
-
-        priors = [
-            Prior(tuple(c / prior_steps for c in counts))
-            for counts in compositions(prior_steps, states)
-        ]
-    return [AAPreference.eu(idx, prior) for prior in priors for idx in indices]
+    return [AAPreference.eu(idx, prior) for prior in simplex_grid(states, prior_steps) for idx in indices]
 
 
 def grid_from_config(cfg: dict, interval: Interval) -> list[AAPreference]:
@@ -57,10 +43,10 @@ def grid_from_config(cfg: dict, interval: Interval) -> list[AAPreference]:
     if "eu_grid" in cfg:
         g = cfg["eu_grid"]
         return eu_grid(
-            int(g["states"]),
+            count_field(g, "states", 1),
             interval,
-            int(g.get("prior_steps", 1)),
+            count_field(g, "prior_steps", 1, default=1),
             [float(x) for x in g["knot_positions"]],
-            int(g["value_steps"]),
+            count_field(g, "value_steps", 1),
         )
     raise ValueError(f"unknown candidate grid descriptor {sorted(cfg)}")

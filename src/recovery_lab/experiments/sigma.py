@@ -16,16 +16,16 @@ from itertools import product
 
 import numpy as np
 
-# expected_utility is no longer called here, but perfbench's traced run
-# patches it on this module, so the name stays bound
-from ..aa_prefs import AAPreference, Act, act_value, expected_utility  # noqa: F401
-from ..errors import EnumerationCapError, IntervalMismatchError, ShapeMismatchError
+# act_value and expected_utility are not called here, but perfbench's traced
+# run patches them on this module, so the names stay bound
+from ..aa_prefs import AAPreference, Act, act_value, aggregate, eu_table, expected_utility  # noqa: F401
+from ..errors import EnumerationCapError, ShapeMismatchError
 from ..lotteries import Interval, Lottery, enumerate_rational_lotteries
 
 #: Two act values within this tolerance count as indifferent.
 VALUE_TIE_TOL = 1e-12
 
-_GATHER_CELLS = 1 << 19  # most doubles in one block of universe_values' statewise gather
+_GATHER_CELLS = 1 << 19  # most doubles live in one slab of universe_values' EU sum
 
 
 def diagonal_pair_iter(m: int):
@@ -96,41 +96,33 @@ def build_sigma(
 def universe_values(prefs: list[AAPreference], sigma: SigmaSequence) -> np.ndarray:
     """Value of every universe act under every preference, shape (P, m).
 
-    Expected-utility preferences take a vectorized path: each distinct index
-    is interpolated once on the lotteries' money points, and the lottery
-    table is formed from those values; other kinds fall back to direct act
-    evaluation.
+    Every kind reads one ``eu_table`` of the distinct indices against the base
+    lotteries.  Max-min and variational rows go through ``aggregate``, bit for
+    bit each act's ``act_value``.  Expected-utility rows sum prior-weighted
+    states in state order, one slab of rows at a time, so no row depends on
+    its batch.  That sum and ``act_value``'s BLAS dot differ in the last bit
+    on some entries (by at most 1.1e-16): recovery's recorded outputs pin the
+    first and theorem2's the second, so the two stay apart.
     """
+    row_of = {u: r for r, u in enumerate(dict.fromkeys(p.index for p in prefs))}
+    table = eu_table(list(row_of), sigma.base_lotteries)[[row_of[p.index] for p in prefs]]
     act_idx = np.asarray(sigma.act_indices)
-    if all(p.kind == "eu" for p in prefs):
-        keys = [(p.index.knots, p.index.values) for p in prefs]
-        indices = dict(zip(keys, (p.index for p in prefs)))  # equal keys, equal indices
-        row_of = {key: r for r, key in enumerate(indices)}
-        rows = [row_of[key] for key in keys]
-        if any(u.interval != sigma.interval for u in indices.values()):
-            raise IntervalMismatchError("lottery and index on different intervals")
-        lots = sigma.base_lotteries
-        points = np.unique(np.concatenate([lot.support_array for lot in lots]))
-        u_points = np.stack([u(points) for u in indices.values()])  # (U, G)
-        eu_table = np.empty((len(indices), len(lots)))
-        for c, lot in enumerate(lots):
-            # one contiguous dot per entry, the same dot expected_utility takes:
-            # a matmul rounds some entries differently in the last bit
-            at = np.searchsorted(points, lot.support_array)
-            u_support = np.ascontiguousarray(u_points[:, at])
-            eu_table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
-        table = eu_table[np.asarray(rows)]  # (P, L)
-        priors = np.stack([p.prior.as_array for p in prefs])  # (P, S)
-        out = np.empty((len(prefs), len(act_idx)))
-        step = max(1, _GATHER_CELLS // (len(prefs) * act_idx.shape[1]))
-        for start in range(0, len(act_idx), step):
-            # the statewise gather (P, acts, S), one block of acts at a time
-            statewise = table[:, act_idx[start : start + step]]
-            out[:, start : start + step] = np.einsum("pms,ps->pm", statewise, priors)
-        return out
-    out = np.empty((len(prefs), sigma.universe_size))
+    out = np.empty((len(prefs), len(act_idx)))
     for r, p in enumerate(prefs):
-        out[r] = [act_value(p, act) for act in sigma.universe]
+        if p.kind != "eu":
+            out[r] = aggregate(p, table[r][act_idx])
+    if eu := [r for r, p in enumerate(prefs) if p.kind == "eu"]:
+        eu_rows, priors = table[eu], np.stack([prefs[r].prior.as_array for r in eu])
+        step = max(1, _GATHER_CELLS // (2 * len(act_idx)))  # acc and one term live per slab
+        for start in range(0, len(eu), step):
+            rows = slice(start, start + step)  # a slab of EU rows over every act
+            acc = eu_rows[rows][:, act_idx[:, 0]]
+            acc *= priors[rows, :1]
+            for s in range(1, act_idx.shape[1]):
+                term = eu_rows[rows][:, act_idx[:, s]]
+                term *= priors[rows, s : s + 1]
+                acc += term
+            out[eu[rows]] = acc
     return out
 
 

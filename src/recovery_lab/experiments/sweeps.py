@@ -70,7 +70,7 @@ from .config import (
 )
 from .prefgrids import grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
-from .sigma import VALUE_TIE_TOL, build_sigma, universe_values
+from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, universe_values
 
 THREADS_ENV = "RECOVERY_LAB_THREADS"
 
@@ -139,6 +139,12 @@ def _proposals(value, got) -> list | None:
     for c in [] if value is None else as_list(value, 0):
         if c and np.shape(np.asarray(c, dtype=float))[1:] != (2, got.domain.dim):
             raise ValueError(f"{c!r} is not a list of (x, y) pairs of {got.domain.dim}-vectors")
+    return value
+
+
+def _eval_steps(value, got) -> int:
+    if (points := len(lattice_points(got.domain, as_int(value, 1)))) < 2:
+        raise ValueError(f"its lattice holds {points} domain point")
     return value
 
 
@@ -222,7 +228,8 @@ def run_fit(cfg: dict) -> SweepOutput:
 
 CONSISTENCY_FIELDS = fields(
     domain=DOMAIN, family=FAMILY, noise=NOISE, true_preference=PREFERENCE, n_grid=counts(1),
-    replicates=count(1, 5), eval_steps=count(1, 16),
+    replicates=count(1, 5),
+    eval_steps=Field("an integer >= 1 whose lattice holds >= 2 domain points", _eval_steps, 16),
     delta=number("a number in (0, 1]", lambda x: 0 < x <= 1, 0.1), exponent_d=EXPONENT,
     vc_dimension=Field("an integer >= 0 (default: found by a shattering search)",
                        lambda v, got: None if v is None else as_int(v, 0), None),
@@ -338,12 +345,12 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
                 continue
             if worst is None:
                 d_true = v_true[ii] - v_true[jj]
-                d_all = values[np.ix_(alive, ii)] - values[np.ix_(alive, jj)]
                 worst = np.empty((3, len(candidates)))
-                worst[0, alive] = np.mean(
-                    ((d_all > 0) & (d_true < 0)) | ((d_all < 0) & (d_true > 0)), axis=1
-                )
-                worst[1, alive] = np.max(np.abs(values[alive] - v_true), axis=1)
+                # blocks of rows bound the (rows, disagreement_m) temporaries
+                for rows in np.array_split(alive, -(-len(alive) * len(ii) // _GATHER_CELLS)):
+                    d = values[np.ix_(rows, ii)] - values[np.ix_(rows, jj)]
+                    worst[0, rows] = np.mean(((d > 0) & (d_true < 0)) | ((d < 0) & (d_true > 0)), axis=1)
+                    worst[1, rows] = np.max(np.abs(values[rows] - v_true), axis=1)
                 worst[2, alive] = [index_distance(candidates[r].index, true.index) for r in alive]
             d, dv, du = worst[:, alive].max(axis=1).tolist()
             out.append((k, rep, len(alive), d, dv, du, False))

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._combinatorics import compositions
+from ._jsonio import count_field
 from .errors import RejectionCapError, ShapeMismatchError
 
 LINEAR = "linear"
@@ -140,7 +141,7 @@ def domain_from_dict(d: dict) -> Domain:
         return BoxDomain(tuple(d["box"]["lo"]), tuple(d["box"]["hi"]))
     if "cone" in d:
         c = d["cone"]
-        return ConeDomain(float(c["alpha"]), float(c["M"]), int(c["d"]))
+        return ConeDomain(float(c["alpha"]), float(c["M"]), count_field(c, "d", 1))
     raise ValueError(f"unknown domain descriptor {sorted(d)}")
 
 
@@ -338,7 +339,7 @@ class UtilityFamily:
         return UtilityFamily(
             kind,
             domain,
-            int(body["weight_steps"]),
+            count_field(body, "weight_steps", 1),
             tuple(body.get("rho_grid", ())),
             body.get("kappa"),
         )

@@ -1,10 +1,14 @@
 """Acts, representations, certainty equivalents, and convergence behavior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recovery_lab import aa_prefs
 from recovery_lab.aa_prefs import (
     AAPreference,
     Act,
@@ -14,6 +18,7 @@ from recovery_lab.aa_prefs import (
     StateSpace,
     act_dominates,
     act_value,
+    aggregate,
     aggregator_distance,
     aggregator_eval,
     ce_act,
@@ -29,6 +34,7 @@ from recovery_lab.errors import (
     ShapeMismatchError,
 )
 from recovery_lab.lotteries import UNIT, DominanceVerdict, delta, lottery
+from recovery_lab.experiments.sigma import build_sigma
 
 IDENT = BernoulliIndex.identity()
 KINKED = BernoulliIndex(UNIT, (0.0, 0.5, 1.0), (0.0, 0.8, 1.0))
@@ -374,3 +380,112 @@ class TestConvergenceBehavior:
                 h2 = 0.5 * z1 + 0.5 * z2
                 worst = max(worst, abs(h1 - h2))
         assert aggregator_distance(p1, p2) == pytest.approx(worst, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the act-value kernel against the one-act-at-a-time loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_expected_utility(u, p):
+    return float(np.dot(p.probs_array, u(p.support_array)))
+
+
+def loop_aggregator_eval(pref, z):
+    z = np.asarray(z, dtype=float)
+    if pref.kind == "eu":
+        return float(np.dot(pref.prior.as_array, z))
+    if pref.kind == "maxmin":
+        return float(min(np.dot(p.as_array, z) for p in pref.priors))
+    finite = [(p.as_array, c) for p, c in zip(pref.cost.priors, pref.cost.costs) if math.isfinite(c)]
+    matrix = np.stack([p for p, _ in finite])
+    return float(np.min(matrix @ z + np.array([c for _, c in finite])))
+
+
+def loop_act_value(pref, f):
+    z = np.array([loop_expected_utility(pref.index, p) for p in f.per_state])
+    return loop_aggregator_eval(pref, z)
+
+
+def loop_rep_distance(pref1, pref2, grid):
+    dv = max(abs(loop_act_value(pref1, f) - loop_act_value(pref2, f)) for f in grid)
+    return dv, index_distance(pref1.index, pref2.index)
+
+
+def loop_aggregator_distance(pref1, pref2, z_steps):
+    axis = np.linspace(0.0, 1.0, z_steps + 1)
+    grids = np.meshgrid(*([axis] * pref1.states.n_states), indexing="ij")
+    worst = 0.0
+    for z in np.stack([g.ravel() for g in grids], axis=1):
+        worst = max(worst, abs(loop_aggregator_eval(pref1, z) - loop_aggregator_eval(pref2, z)))
+    return worst
+
+
+KINDS = ["eu", "maxmin", "variational"]
+
+
+def kernel_pref(rng, kind, n_states, inf_costs=False):
+    """A random preference of one kind; a variational cost grid may exclude
+    priors with infinite cost."""
+    index = random_index(rng, int(rng.integers(0, 4)))
+
+    def prior():
+        w = rng.random(n_states) * (rng.random(n_states) > 0.2) + 1e-3
+        return Prior(tuple(w / w.sum()))
+
+    if kind == "eu":
+        return AAPreference.eu(index, prior())
+    if kind == "maxmin":
+        return AAPreference.maxmin(index, [prior() for _ in range(rng.integers(1, 5))])
+    grid = simplex_grid(n_states, int(rng.integers(1, 4)))
+    costs = rng.uniform(0.0, 0.5, len(grid))
+    if inf_costs:
+        costs[rng.random(len(grid)) < 0.5] = math.inf
+        costs[rng.integers(0, len(grid))] = 0.25
+    return AAPreference.variational(index, CostFunction(tuple(grid), tuple(costs)))
+
+
+class TestKernelMatchesTheLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+           kind=st.sampled_from(KINDS), inf_costs=st.booleans(), rows=st.integers(1, 40))
+    def test_aggregate_rows_equal_the_scalar_aggregator(self, seed, n_states, kind, inf_costs, rows):
+        rng = np.random.default_rng(seed)
+        pref = kernel_pref(rng, kind, n_states, inf_costs)
+        z = rng.uniform(-1.0, 2.0, (2, rows, n_states))
+        want = np.array([[loop_aggregator_eval(pref, row) for row in block] for block in z])
+        assert np.array_equal(aggregate(pref, z), want)
+        assert np.array_equal(aggregate(pref, z[1]), want[1])  # a row's value ignores its batch
+        assert np.array_equal([aggregator_eval(pref, row) for row in z[0]], want[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 3),
+           kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)), acts=st.integers(1, 30))
+    def test_rep_distance_equals_the_per_act_loop(self, seed, n_states, kinds, acts):
+        rng = np.random.default_rng(seed)
+        p1, p2 = (kernel_pref(rng, kind, n_states, True) for kind in kinds)
+        # acts share lottery objects, and equal lotteries also come as distinct objects
+        lots = [random_lottery(rng) for _ in range(5)]
+        lots += [lottery(UNIT, list(p.support), list(p.probs)) for p in lots[:2]]
+        grid = [Act(tuple(lots[i] for i in rng.integers(0, len(lots), n_states))) for _ in range(acts)]
+        assert rep_distance(p1, p2, grid) == loop_rep_distance(p1, p2, grid)
+        assert [act_value(p1, f) for f in grid] == [loop_act_value(p1, f) for f in grid]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4),
+           kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)), z_steps=st.integers(1, 5))
+    def test_aggregator_distance_equals_the_per_point_loop(self, seed, n_states, kinds, z_steps):
+        rng = np.random.default_rng(seed)
+        p1, p2 = (kernel_pref(rng, kind, n_states, True) for kind in kinds)
+        assert aggregator_distance(p1, p2, z_steps) == loop_aggregator_distance(p1, p2, z_steps)
+
+    def test_rep_distance_tabulates_one_row_per_preference(self):
+        grid = list(build_sigma(2, UNIT, 4, 4, k=1).universe)
+        assert len(grid) == 1225
+        rng = np.random.default_rng(12)
+        p1, p2 = kernel_pref(rng, "maxmin", 2), kernel_pref(rng, "variational", 2)
+        with mock.patch.object(aa_prefs, "eu_table", wraps=aa_prefs.eu_table) as table:
+            got = rep_distance(p1, p2, grid)
+        assert [len(c.args[0]) for c in table.call_args_list] == [2]  # not one per act
+        assert len(table.call_args_list[0].args[1]) == 35  # the distinct lotteries
+        assert got == loop_rep_distance(p1, p2, grid)

@@ -515,6 +515,17 @@ BAD_CONFIGS = [
     ("recovery", {"replicates": True}, "replicates"),
     ("gen", {"n": 1.5}, "n"),
     ("gen", {"n": "7"}, "n"),
+    # counts inside descriptors are checked, not truncated
+    ("consistency", {"domain": {"cone": {"alpha": 0.1, "M": 1.0, "d": 2.5}}}, "domain"),
+    ("gen", {"domain": {"cone": {"alpha": 0.1, "M": 1.0, "d": 2.5}}}, "domain"),
+    ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4.7}}}, "family"),
+    ("recovery", {"candidates": {"eu_grid": {"states": 1, "knot_positions": [0.5], "value_steps": 12.9}}},
+     "candidates"),
+    ("uniqueness", {"candidates": {"eu_grid": {**UNIQUENESS_GRID, "prior_steps": 1.5}}}, "candidates"),
+    ("recovery", {"candidates": {"eu_grid": {"states": 1, "prior_steps": 1.5, "knot_positions": [0.5],
+                                             "value_steps": 12}}}, "candidates"),
+    # a cone's one-step lattice is only the origin, where every rho is 0
+    ("consistency", {"eval_steps": 1}, "eval_steps"),
 ]
 
 
@@ -543,6 +554,20 @@ class TestFieldTables:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run_cli(Path(tmp), command, {**CLI_CONFIGS[command], field: value})
         assert code in (0, 2, 3) and len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+    def test_box_lattice_at_one_step_is_valid(self, tmp_path):
+        cfg = {**CLI_CONFIGS["consistency"], "domain": BOX, "eval_steps": 1,
+               "true_preference": {"kind": "linear", "weights": [0.5, 0.5]}}
+        assert run_cli(tmp_path, "consistency", cfg) == 0
+
+    @pytest.mark.parametrize("command", sorted(c for c, (_, t, _) in cli._REGISTRY.items()
+                                               if "replicates" not in t))
+    def test_replicates_flag_without_the_field_exits_two(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, "c.json", CLI_CONFIGS.get(command, {"version": 1}))
+        argv = [command, "--config", path, "--replicates", "3", "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
+        assert_one_line_config_error(capsys, "--replicates", command)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", sorted(cli._REGISTRY))
     def test_help_lists_every_field_with_default_and_bound(self, capsys, command):

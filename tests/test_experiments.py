@@ -36,6 +36,7 @@ from recovery_lab.experiments.prefgrids import index_value_grid
 from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_iter
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
+from test_aa_prefs import kernel_pref, loop_act_value
 from test_acceptance import RECOVERY_CFGS
 
 IDENT = BernoulliIndex.identity()
@@ -108,10 +109,15 @@ class TestSigma:
 
 
 def reference_universe_values(prefs, sig):
-    """Values through a per-preference table of scalar expected utilities."""
+    """Values through a per-preference table of scalar expected utilities,
+    the prior-weighted states summed in state order."""
     table = np.array([[expected_utility(p.index, lot) for lot in sig.base_lotteries] for p in prefs])
     priors = np.stack([p.prior.as_array for p in prefs])
-    return np.einsum("pms,ps->pm", table[:, np.asarray(sig.act_indices)], priors)
+    statewise = table[:, np.asarray(sig.act_indices)]  # (P, m, S)
+    out = statewise[:, :, 0] * priors[:, None, 0]
+    for s in range(1, priors.shape[1]):
+        out = out + statewise[:, :, s] * priors[:, None, s]
+    return out
 
 
 class TestEuTable:
@@ -166,6 +172,37 @@ class TestEuTable:
         pref = AAPreference.eu(BernoulliIndex.identity(self.SHIFTED), Prior((1.0,)))
         with pytest.raises(IntervalMismatchError):
             universe_values([pref], build_sigma(1, UNIT, 2, 3, k=1))
+
+    @pytest.mark.parametrize("states", [1, 2, 3, 4])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 10_000), min_size=2, max_size=8),
+           other=st.sampled_from(["maxmin", "variational"]))
+    def test_an_eu_row_is_the_same_alone_in_a_batch_and_beside_another_kind(
+        self, states, seed, picks, other
+    ):
+        grid = eu_grid(states, UNIT, 3, [0.3, 0.7], 6)
+        prefs = [grid[i % len(grid)] for i in picks]
+        sig = build_sigma(states, UNIT, 2, 3, k=1)
+        batch = universe_values(prefs, sig)
+        for p, row in zip(prefs, batch):
+            mixed = [kernel_pref(np.random.default_rng(seed), other, states, True), p]
+            assert np.array_equal(universe_values([p], sig)[0], row)
+            assert np.array_equal(universe_values(mixed, sig)[1], row)
+
+    @pytest.mark.parametrize("states", [1, 2, 3, 4])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["maxmin", "variational"]),
+           level=st.sampled_from([(1, 2), (2, 2), (1, 3)]))
+    def test_other_kinds_rows_are_each_acts_value(self, states, seed, kind, level):
+        rng = np.random.default_rng(seed)
+        prefs = [kernel_pref(rng, kind, states, True) for _ in range(3)]
+        prefs.insert(1, eu_grid(states, UNIT, 2, [0.5], 4)[0])
+        sig = build_sigma(states, UNIT, *level, k=1)
+        values = universe_values(prefs, sig)
+        for r in (0, 2, 3):
+            want = [loop_act_value(prefs[r], f) for f in sig.universe]
+            assert np.array_equal(values[r], want)
+            assert np.array_equal(values[r], [act_value(prefs[r], f) for f in sig.universe])
 
 
 class TestGeneratedChoices:
