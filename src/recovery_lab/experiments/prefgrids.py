@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .._jsonio import count_field
-from ..aa_prefs import AAPreference, BernoulliIndex, simplex_grid
+from ..aa_prefs import EU, AAPreference, BernoulliIndex, StateSpace, simplex_grid
 from ..lotteries import Interval
 
 
@@ -32,10 +32,11 @@ def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: l
 
     Priors are ``simplex_grid(states, prior_steps)`` (one state: the trivial
     prior).  Order is deterministic: priors in lexicographic order, indices
-    within.
+    within.  Every candidate shares one state space.
     """
-    indices = index_value_grid(interval, knot_positions, value_steps)
-    return [AAPreference.eu(idx, prior) for prior in simplex_grid(states, prior_steps) for idx in indices]
+    indices, space = index_value_grid(interval, knot_positions, value_steps), StateSpace(states)
+    return [AAPreference(EU, idx, space, prior=prior)
+            for prior in simplex_grid(states, prior_steps) for idx in indices]
 
 
 def grid_from_config(cfg: dict, interval: Interval) -> list[AAPreference]:

@@ -93,27 +93,36 @@ def build_sigma(
     )
 
 
-def universe_values(prefs: list[AAPreference], sigma: SigmaSequence) -> np.ndarray:
-    """Value of every universe act under every preference, shape (P, m).
+def universe_values(prefs: list[AAPreference], sigma: SigmaSequence, acts=None) -> np.ndarray:
+    """Value of the universe acts at positions ``acts`` (default: all of them)
+    under every preference, shape (P, len(acts)).
 
-    Every kind reads one ``eu_table`` of the distinct indices against the base
-    lotteries.  Max-min and variational rows go through ``aggregate``, bit for
-    bit each act's ``act_value``.  Expected-utility rows sum prior-weighted
-    states in state order, one slab of rows at a time, so no row depends on
-    its batch.  That sum and ``act_value``'s BLAS dot differ in the last bit
-    on some entries (by at most 1.1e-16): recovery's recorded outputs pin the
-    first and theorem2's the second, so the two stay apart.
+    Every kind reads one ``eu_table`` of the distinct indices (by ``id()``:
+    hashing an index is slow) against the base lotteries those acts use.
+    Max-min and variational rows go through ``aggregate``, bit for bit each
+    act's ``act_value``.  Expected-utility rows sum prior-weighted states in
+    state order, one slab of rows at a time.  So no entry depends on the
+    preferences or acts batched with it, which callers valuing a few acts or
+    rows apart rely on.  That sum and ``act_value``'s BLAS dot differ in the
+    last bit on some entries (by at most 1.1e-16): recovery's recorded outputs
+    pin the first and theorem2's the second, so the two stay apart.
     """
-    row_of = {u: r for r, u in enumerate(dict.fromkeys(p.index for p in prefs))}
-    table = eu_table(list(row_of), sigma.base_lotteries)[[row_of[p.index] for p in prefs]]
     act_idx = np.asarray(sigma.act_indices)
+    if acts is not None:
+        act_idx = act_idx[np.asarray(acts, dtype=int)]
+    lots = np.unique(act_idx)
+    act_idx = np.searchsorted(lots, act_idx)  # columns of the table below
+    indices = {id(p.index): p.index for p in prefs}
+    row_of = {key: r for r, key in enumerate(indices)}
+    table = eu_table(list(indices.values()), [sigma.base_lotteries[i] for i in lots])
+    table = table[[row_of[id(p.index)] for p in prefs]]
     out = np.empty((len(prefs), len(act_idx)))
     for r, p in enumerate(prefs):
         if p.kind != "eu":
             out[r] = aggregate(p, table[r][act_idx])
     if eu := [r for r, p in enumerate(prefs) if p.kind == "eu"]:
         eu_rows, priors = table[eu], np.stack([prefs[r].prior.as_array for r in eu])
-        step = max(1, _GATHER_CELLS // (2 * len(act_idx)))  # acc and one term live per slab
+        step = max(1, _GATHER_CELLS // max(2 * len(act_idx), 1))  # acc and one term live per slab
         for start in range(0, len(eu), step):
             rows = slice(start, start + step)  # a slab of EU rows over every act
             acc = eu_rows[rows][:, act_idx[:, 0]]

@@ -322,38 +322,44 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
         # a k=0 cell is a vacuous constraint
         sig = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1), permutation=perm)
-        values = universe_values(candidates, sig)
-        v_true = values[f.true_index]
         pairs = np.asarray(sig.pairs)
+        v_true = universe_values([true], sig)[0]
         rng2 = np.random.default_rng([seed, rep, 1])
         ii = rng2.integers(0, m_universe, f.disagreement_m)
         jj = rng2.integers(0, m_universe, f.disagreement_m)
-        # Survivors nest as k grows, so each cell codes only its new pairs and
-        # only the rows still alive, and the per-row statistics are computed
-        # once, for the rows alive at the first cell.
-        alive = np.arange(len(candidates))
-        worst = None  # (disagreement, dv, du) per candidate row
+        # Survivors nest as k grows.  Every candidate is valued on the first
+        # cell's acts only, and the few alive after it get full rows: each
+        # later cell codes its new pairs on those, and the per-row statistics
+        # are computed once.  No entry depends on its batch, so all of these
+        # are entries of the one full (candidates, acts) table.
+        first = pairs[:k_grid[0]]
+        acts = np.unique(first)
+        v_first = universe_values(candidates, sig, acts)
+        fi, fj = np.searchsorted(acts, first).T
+        want = _codes(v_true[first[:, 0]] - v_true[first[:, 1]])
+        alive = np.flatnonzero(np.all(_codes(v_first[:, fi] - v_first[:, fj]) == want, axis=1))
+        values = universe_values([candidates[r] for r in alive], sig)
+        d_true = v_true[ii] - v_true[jj]
+        worst = np.empty((3, len(alive)))  # (disagreement, dv, du) per row of values
+        # blocks of rows bound the (rows, disagreement_m) temporaries
+        for rows in np.array_split(np.arange(len(alive)), -(-len(alive) * len(ii) // _GATHER_CELLS)):
+            d = values[np.ix_(rows, ii)] - values[np.ix_(rows, jj)]
+            worst[0, rows] = np.mean(((d > 0) & (d_true < 0)) | ((d < 0) & (d_true > 0)), axis=1)
+            worst[1, rows] = np.max(np.abs(values[rows] - v_true), axis=1)
+        worst[2] = [index_distance(candidates[r].index, true.index) for r in alive]
+        keep = np.arange(len(alive))  # rows of values still alive
         out = []
-        prev = 0
+        prev = k_grid[0]
         for k in k_grid:
             pi, pj = pairs[prev:k].T
-            cand = _codes(values[np.ix_(alive, pi)] - values[np.ix_(alive, pj)])
-            alive = alive[np.all(cand == _codes(v_true[pi] - v_true[pj]), axis=1)]
+            cand = _codes(values[np.ix_(keep, pi)] - values[np.ix_(keep, pj)])
+            keep = keep[np.all(cand == _codes(v_true[pi] - v_true[pj]), axis=1)]
             prev = k
-            if len(alive) == 0:
+            if len(keep) == 0:
                 out.append((k, rep, 0, math.nan, math.nan, math.nan, True))
                 continue
-            if worst is None:
-                d_true = v_true[ii] - v_true[jj]
-                worst = np.empty((3, len(candidates)))
-                # blocks of rows bound the (rows, disagreement_m) temporaries
-                for rows in np.array_split(alive, -(-len(alive) * len(ii) // _GATHER_CELLS)):
-                    d = values[np.ix_(rows, ii)] - values[np.ix_(rows, jj)]
-                    worst[0, rows] = np.mean(((d > 0) & (d_true < 0)) | ((d < 0) & (d_true > 0)), axis=1)
-                    worst[1, rows] = np.max(np.abs(values[rows] - v_true), axis=1)
-                worst[2, alive] = [index_distance(candidates[r].index, true.index) for r in alive]
-            d, dv, du = worst[:, alive].max(axis=1).tolist()
-            out.append((k, rep, len(alive), d, dv, du, False))
+            d, dv, du = worst[:, keep].max(axis=1).tolist()
+            out.append((k, rep, len(keep), d, dv, du, False))
         return out
 
     reps = parallel_map(one_replicate, range(f.replicates), threads)

@@ -32,6 +32,7 @@ from recovery_lab.experiments import (
     weakly_rationalizes,
 )
 from recovery_lab.experiments import sigma as sigma_module
+from recovery_lab.experiments import sweeps as sweeps_module
 from recovery_lab.experiments.prefgrids import index_value_grid
 from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_iter
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
@@ -204,6 +205,26 @@ class TestEuTable:
             assert np.array_equal(values[r], want)
             assert np.array_equal(values[r], [act_value(prefs[r], f) for f in sig.universe])
 
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["eu", "maxmin", "variational"]), max_size=4),
+           level=st.sampled_from([(1, 2), (2, 2), (1, 3)]),
+           picks=st.lists(st.integers(0, 10_000), max_size=30))
+    def test_values_at_chosen_acts_are_the_full_tables_columns(self, states, seed, kinds, level, picks):
+        # acts may be empty, repeated or unsorted; grid members share index
+        # objects; a row valued alone is its row in the batch
+        rng = np.random.default_rng(seed)
+        prefs = [kernel_pref(rng, kind, states, True) for kind in kinds]
+        prefs += eu_grid(states, UNIT, 2, [0.5], 4)
+        sig = build_sigma(states, UNIT, *level, k=1)
+        acts = [i % sig.universe_size for i in picks]
+        full, got = universe_values(prefs, sig), universe_values(prefs, sig, acts)
+        assert got.shape == (len(prefs), len(acts)) and np.array_equal(got, full[:, acts])
+        for p, row in zip(prefs, full):
+            assert np.array_equal(universe_values([p], sig)[0], row)
+            assert np.array_equal(universe_values([p], sig, acts)[0], row[acts])
+
 
 class TestGeneratedChoices:
     def test_dominating_act_chosen(self):
@@ -368,12 +389,12 @@ def reference_recovery_rows(cfg):
 
 
 # states -> (denominator_bound, grid_count) levels with 6 to 4,950 pairs
-LEVELS = {1: [(2, 3), (3, 3), (4, 4)], 2: [(1, 2), (2, 2), (2, 3), (3, 3)]}
+LEVELS = {1: [(2, 3), (3, 3), (4, 4)], 2: [(1, 2), (2, 2), (2, 3), (3, 3)], 3: [(1, 2), (2, 2)]}
 
 
 @st.composite
 def recovery_configs(draw):
-    states = draw(st.integers(1, 2))
+    states = draw(st.integers(1, 3))
     den, gc = draw(st.sampled_from(LEVELS[states]))
     m = build_sigma(states, UNIT, den, gc, k=1).universe_size
     last = m * (m - 1) // 2
@@ -386,7 +407,8 @@ def recovery_configs(draw):
     }
     n_candidates = len(grid_from_config({"eu_grid": grid}, UNIT))
     k_grid = draw(st.lists(st.integers(0, last), min_size=1, max_size=4))
-    k_grid += draw(st.sampled_from([[], [0], [last], [0, last]]))
+    # a first cell of 0 or 1 keeps all or most candidates alive past it
+    k_grid += draw(st.sampled_from([[], [0], [last], [0, last], [1], [1, last]]))
     return {
         "version": 1,
         "seed": draw(st.integers(0, 2**32)),
@@ -412,6 +434,40 @@ class TestRecoveryMatchesFullMatrix:
     def test_acceptance_configs(self, label):
         cfg = RECOVERY_CFGS[label]
         assert run_recovery(cfg, threads=3).csv_rows == reference_recovery_rows(cfg)
+
+
+class TestRecoveryWork:
+    # perfbench's recovery config: 2,783 candidates over 1,225 acts
+    CFG = {
+        "version": 1,
+        "states": 2,
+        "truncation": {"denominator_bound": 4, "grid_count": 4},
+        "k_grid": [50, 200, 800, 2000],
+        "replicates": 1,
+        "candidates": {
+            "eu_grid": {"states": 2, "prior_steps": 10, "knot_positions": [1 / 3, 2 / 3], "value_steps": 24}
+        },
+        "true_index": 1000,
+        "disagreement_m": 4000,
+    }
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_no_full_value_table_is_computed(self, seed):
+        # every candidate is valued on the first cell's acts only, and only
+        # its survivors get full rows
+        cells = []
+
+        def counted(*args, **kwargs):
+            values = universe_values(*args, **kwargs)
+            cells.append(values.size)
+            return values
+
+        with mock.patch.object(sweeps_module, "universe_values", counted):
+            run_recovery(dict(self.CFG, seed=seed))
+        n_candidates = len(grid_from_config(self.CFG["candidates"], UNIT))
+        m = build_sigma(2, UNIT, 4, 4, k=1).universe_size
+        assert (n_candidates, m) == (2783, 1225)
+        assert 0 < sum(cells) <= n_candidates * m // 10
 
 
 class TestConsistencySweep:
