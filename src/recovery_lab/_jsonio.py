@@ -56,3 +56,23 @@ def count_field(body: dict, key: str, minimum: int, default: int | None = None) 
     if type(value) is not int or value < minimum:
         raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+_REQUIRED = object()
+
+
+def number_field(body: dict, key: str, default=_REQUIRED, many: bool = False):
+    """``body[key]`` when it is a finite JSON number, or with ``many`` a list of
+    them, as a tuple; a bool or a numeric string such as "0.7" is refused, not
+    cast.  A given default comes back as is when the key is absent (or null, for
+    a default of None)."""
+    value = body[key] if default is _REQUIRED else body.get(key, default)
+    if value is default:
+        return value
+    values = value if many else [value]
+    if type(values) is not list or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    ):
+        what = "a list of finite numbers" if many else "a finite number"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return tuple(values) if many else value

@@ -294,7 +294,7 @@ class AAPreference:
 
 
 def eu_table(indices, lotteries) -> np.ndarray:
-    """Expected utility of each lottery under each index, shape (U, L).
+    """Expected utility of each lottery under each index, shape (U, L) (U may be 0).
 
     Each index is interpolated once, on the lotteries' pooled money points.
     Each entry is one contiguous dot, the one a lone lottery takes: a matmul
@@ -303,7 +303,7 @@ def eu_table(indices, lotteries) -> np.ndarray:
     if len({u.interval for u in indices} | {lot.interval for lot in lotteries}) > 1:
         raise IntervalMismatchError("lottery and index on different intervals")
     points = np.array(sorted({x for lot in lotteries for x in lot.support}))
-    u_points = np.stack([u(points) for u in indices])  # (U, G)
+    u_points = np.array([u(points) for u in indices]).reshape(len(indices), len(points))  # (U, G)
     table = np.empty((len(indices), len(lotteries)))
     for c, lot in enumerate(lotteries):
         u_support = np.ascontiguousarray(u_points[:, np.searchsorted(points, lot.support_array)])

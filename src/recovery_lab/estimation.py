@@ -3,12 +3,11 @@
 The estimator maximizes the count of rationalized records over a finite
 family grid (the objective is a 0/1 count, so the search is exhaustive
 plus a deterministic local refinement rather than gradient-based).  The
-records are raised to each distinct rho once (``WaldUtility.powers``), and
-each candidate applies its weights to its rho's table (``from_powers``),
-bit for bit as ``value_batch`` would.  The supporting cast: a grid sup-norm metric, Monte Carlo estimates of the
+supporting cast: a grid sup-norm metric, Monte Carlo estimates of the
 probability that a candidate ranking matches noisy choices, the
 separation gap that identifies the truth, a brute-force shattering search,
-and the finite-sample bound evaluator.
+and the finite-sample bound evaluator.  A list of utilities is valued over
+a point set by one ``wald_env.value_rows`` call, a single one by ``value_batch``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import CombinatorialCapError, EmptyGridError, ShapeMismatchError
 from .noisy_choice import Dataset, NoiseModel, q_eval_batch
-from .wald_env import Domain, UtilityFamily, WaldUtility, lattice_points
+from .wald_env import Domain, UtilityFamily, WaldUtility, lattice_points, value_rows
 
 
 def score_from_values(chosen_values: np.ndarray, rejected_values: np.ndarray) -> float:
@@ -81,18 +80,15 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     if not members:
         raise EmptyGridError("utility family has an empty grid")
     _check_record_dim(ds, family.dim)
-    tables: dict = {}  # rho -> step one of value_batch on chosen and on rejected
     scores: list[float] = []
     best, best_score = members[0], -math.inf
     for level in range(refinements + 1):
         candidates = family.refine_around(best, level) if level else members
-        for cand in candidates:
+        values = zip(value_rows(candidates, ds.chosen), value_rows(candidates, ds.rejected))
+        for cand, (chosen, rejected) in zip(candidates, values):
             if level and cand == best:
                 continue
-            if cand.rho not in tables:
-                tables[cand.rho] = (cand.powers(ds.chosen), cand.powers(ds.rejected))
-            chosen, rejected = tables[cand.rho]
-            s = score_from_values(cand.from_powers(*chosen), cand.from_powers(*rejected))
+            s = score_from_values(chosen, rejected)
             scores.append(s)
             if s > best_score or (s == best_score and cand.param_tuple() < best.param_tuple()):
                 best, best_score = cand, s
@@ -114,10 +110,12 @@ def rho(u1: WaldUtility, u2: WaldUtility, grid: np.ndarray) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGridError("rho needs a nonempty evaluation grid")
-    return float(np.max(np.abs(u1.value_batch(grid) - u2.value_batch(grid))))
+    return float(np.max(np.abs(np.subtract(*value_rows([u1, u2], grid)))))
 
 
 def _pair_batches(domain: Domain, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    if m < 1:
+        raise ValueError("m must be >= 1")
     rng = np.random.default_rng([seed, 0x5EED])
     return domain.sample_batch(rng, m), domain.sample_batch(rng, m)
 
@@ -142,12 +140,10 @@ def mu_estimate(
     Integrand: 1{pref_eval ranks x over y} * q(x, y; pref_true) over m
     independent pairs from the sampling measure.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     xs, ys = _pair_batches(domain, m, seed)
-    agree = pref_eval.value_batch(xs) >= pref_eval.value_batch(ys)
-    q = q_eval_batch(noise, pref_true.value_batch(xs), pref_true.value_batch(ys))
-    return _mean_and_stderr(agree * q)
+    eval_x, true_x = value_rows([pref_eval, pref_true], xs)
+    eval_y, true_y = value_rows([pref_eval, pref_true], ys)
+    return _mean_and_stderr((eval_x >= eval_y) * q_eval_batch(noise, true_x, true_y))
 
 
 def separation_estimate(
@@ -166,9 +162,10 @@ def separation_estimate(
     every sampled pair identically.
     """
     xs, ys = _pair_batches(domain, m, seed)
-    q = q_eval_batch(noise, pref_true.value_batch(xs), pref_true.value_batch(ys))
-    own = (pref_true.value_batch(xs) >= pref_true.value_batch(ys)).astype(float)
-    other = (pref_other.value_batch(xs) >= pref_other.value_batch(ys)).astype(float)
+    true_x, other_x = value_rows([pref_true, pref_other], xs)
+    true_y, other_y = value_rows([pref_true, pref_other], ys)
+    q = q_eval_batch(noise, true_x, true_y)
+    own, other = (true_x >= true_y).astype(float), (other_x >= other_y).astype(float)
     gap, stderr = _mean_and_stderr((own - other) * q)
     if eval_grid is None:
         eval_grid = lattice_points(domain, 16)
@@ -263,8 +260,8 @@ def vc_lower_bound(
 
     def shattered(xs: np.ndarray, ys: np.ndarray) -> bool:
         """Every labeling of the (k, d) problems xs[i] vs ys[i] is rationalized."""
-        vx = np.stack([mbr.value_batch(xs) for mbr in members])  # (G, k)
-        vy = np.stack([mbr.value_batch(ys) for mbr in members])
+        vx = np.stack([*value_rows(members, xs)])  # (G, k)
+        vy = np.stack([*value_rows(members, ys)])
         # labels[l, j]: labeling l has "y chosen" on problem j
         labels = ((np.arange(2 ** len(xs))[:, None] >> np.arange(len(xs))) & 1).astype(bool)
         ok = np.where(labels[:, None, :], vy >= vx, vx >= vy).all(axis=2)  # (2**k, G)
@@ -320,8 +317,6 @@ def disagreement(pref1, pref2, domain, m: int, seed: int) -> float:
     rankings.  Works for any objects with value/value_batch over the
     domain's samples.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     xs, ys = _pair_batches(domain, m, seed)
     a1 = pref1.value_batch(xs) - pref1.value_batch(ys)
     a2 = pref2.value_batch(xs) - pref2.value_batch(ys)

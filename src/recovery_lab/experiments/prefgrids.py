@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .._jsonio import count_field
+from .._jsonio import count_field, number_field
 from ..aa_prefs import EU, AAPreference, BernoulliIndex, StateSpace, simplex_grid
 from ..lotteries import Interval
 
@@ -47,7 +47,7 @@ def grid_from_config(cfg: dict, interval: Interval) -> list[AAPreference]:
             count_field(g, "states", 1),
             interval,
             count_field(g, "prior_steps", 1, default=1),
-            [float(x) for x in g["knot_positions"]],
+            [float(x) for x in number_field(g, "knot_positions", many=True)],
             count_field(g, "value_steps", 1),
         )
     raise ValueError(f"unknown candidate grid descriptor {sorted(cfg)}")

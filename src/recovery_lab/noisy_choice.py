@@ -93,10 +93,11 @@ NoiseModel = ConstantFlip | BoundedResponse
 
 def noise_from_dict(d: dict) -> NoiseModel:
     if "constant_flip" in d:
-        return ConstantFlip(float(d["constant_flip"]["theta"]))
+        return ConstantFlip(float(_jsonio.number_field(d["constant_flip"], "theta")))
     if "bounded_response" in d:
         b = d["bounded_response"]
-        return BoundedResponse(float(b["theta_min"]), float(b["theta_max"]), float(b["tau"]))
+        params = (float(_jsonio.number_field(b, k)) for k in ("theta_min", "theta_max", "tau"))
+        return BoundedResponse(*params)
     raise ValueError(f"unknown noise descriptor {sorted(d)}")
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._combinatorics import compositions
-from ._jsonio import count_field
+from ._jsonio import count_field, number_field
 from .errors import RejectionCapError, ShapeMismatchError
 
 LINEAR = "linear"
@@ -138,10 +138,11 @@ Domain = BoxDomain | ConeDomain
 
 def domain_from_dict(d: dict) -> Domain:
     if "box" in d:
-        return BoxDomain(tuple(d["box"]["lo"]), tuple(d["box"]["hi"]))
+        return BoxDomain(*(number_field(d["box"], k, many=True) for k in ("lo", "hi")))
     if "cone" in d:
         c = d["cone"]
-        return ConeDomain(float(c["alpha"]), float(c["M"]), count_field(c, "d", 1))
+        alpha, M = (float(number_field(c, k)) for k in ("alpha", "M"))
+        return ConeDomain(alpha, M, count_field(c, "d", 1))
     raise ValueError(f"unknown domain descriptor {sorted(d)}")
 
 
@@ -202,34 +203,8 @@ class WaldUtility:
         return float(self.value_batch(x[None, :])[0])
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of x."""
-        return self.from_powers(*self.powers(x))
-
-    def powers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Step one of ``value_batch``, shared by all members of one kind and rho:
-        x**rho for CES (for rho < 0 over the rows with no zero coordinate, whose
-        mask comes with it; the others are worth zero by convention), else x."""
-        if self.kind != LINEAR and np.any(x < 0.0):
-            raise ValueError("ces/cobb_douglas utilities need nonnegative bundles")
-        if self.kind != CES:
-            return x, None
-        if self.rho < 0.0:
-            pos = np.all(x > 0.0, axis=-1)
-            return np.power(x[pos], self.rho), pos
-        return np.power(x, self.rho), None
-
-    def from_powers(self, p: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
-        """Step two of ``value_batch``: this member's values from ``powers``."""
-        if self.kind == LINEAR:
-            return p @ self._w
-        if self.kind == COBB_DOUGLAS:
-            return np.prod(np.power(p, self._w), axis=-1)
-        values = np.power(p @ self._w, 1.0 / self.rho)
-        if pos is None:
-            return values
-        out = np.zeros(pos.shape)
-        out[pos] = values
-        return out
+        """Vectorized evaluation over rows of x: a batch of one ``value_rows``."""
+        return next(value_rows([self], x))
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "weights": list(self.weights)}
@@ -239,7 +214,38 @@ class WaldUtility:
 
     @staticmethod
     def from_dict(d: dict) -> "WaldUtility":
-        return WaldUtility(d["kind"], tuple(d["weights"]), d.get("rho"))
+        weights = number_field(d, "weights", many=True)
+        return WaldUtility(d["kind"], weights, number_field(d, "rho", None))
+
+
+def value_rows(members, x: np.ndarray):
+    """Yield each member's values over the rows of x, in member order.
+
+    x is raised to each distinct (kind, rho) once: x**rho for CES (for rho < 0
+    over the rows with no zero coordinate only, the others being worth zero),
+    else x.  Each member then takes its own ``p @ w``, so its row does not depend
+    on the list: a product across members would round some entries differently.
+    A generator, so callers hold one member's row at a time, never a whole table.
+    """
+    tables: dict = {}
+    for u in members:
+        if (key := (u.kind, u.rho)) not in tables:
+            if u.kind != LINEAR and np.any(x < 0.0):
+                raise ValueError("ces/cobb_douglas utilities need nonnegative bundles")
+            pos = np.all(x > 0.0, axis=-1) if u.kind == CES and u.rho < 0.0 else None
+            p = x if u.kind != CES else np.power(x if pos is None else x[pos], u.rho)
+            tables[key] = p, pos
+        p, pos = tables[key]
+        if u.kind == LINEAR:
+            yield p @ u._w
+        elif u.kind == COBB_DOUGLAS:
+            yield np.prod(np.power(p, u._w), axis=-1)
+        elif pos is None:
+            yield np.power(p @ u._w, 1.0 / u.rho)
+        else:
+            out = np.zeros(pos.shape)
+            out[pos] = np.power(p @ u._w, 1.0 / u.rho)
+            yield out
 
 
 @dataclass(frozen=True)
@@ -340,8 +346,8 @@ class UtilityFamily:
             kind,
             domain,
             count_field(body, "weight_steps", 1),
-            tuple(body.get("rho_grid", ())),
-            body.get("kappa"),
+            number_field(body, "rho_grid", (), many=True),
+            number_field(body, "kappa", None),
         )
 
 

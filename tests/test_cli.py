@@ -526,6 +526,15 @@ BAD_CONFIGS = [
                                              "value_steps": 12}}}, "candidates"),
     # a cone's one-step lattice is only the origin, where every rho is 0
     ("consistency", {"eval_steps": 1}, "eval_steps"),
+    # numbers inside descriptors are checked, not cast
+    ("gen", {"preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": True}}, "preference"),
+    ("gen", {"preference": {"kind": "linear", "weights": [True, False]}}, "preference"),
+    ("gen", {"noise": {"constant_flip": {"theta": "0.7"}}}, "noise"),
+    ("gen", {"domain": {"box": {"lo": ["0", "0"], "hi": ["1", "1"]}}}, "domain"),
+    ("gen", {"domain": {"cone": {"alpha": "0.1", "M": True, "d": 2}}}, "domain"),
+    ("consistency", {"family": {"ces": {"rho_grid": [True, 2.0], "weight_steps": 4}}}, "family"),
+    ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4,
+                                        "kappa": "big"}}}, "family"),
 ]
 
 

@@ -34,6 +34,7 @@ from recovery_lab.wald_env import (
     UtilityFamily,
     WaldUtility,
     lattice_points,
+    value_rows,
 )
 
 BOX = BoxDomain.unit(2)
@@ -195,6 +196,47 @@ def reference_erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) 
 
 
 @st.composite
+def value_row_cases(draw):
+    """Linear, Cobb-Douglas and CES members in one list, rhos of either sign
+    and (kind, rho) keys repeated, over points with many zero coordinates."""
+    d = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["linear", "cobb_douglas", "ces"]))
+        low = 1 if kind == "cobb_douglas" else 0
+        counts = draw(st.lists(st.integers(low, 5), min_size=d, max_size=d).filter(any))
+        rho = draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 3.0])) if kind == "ces" else None
+        members.append(WaldUtility(kind, tuple(c / sum(counts) for c in counts), rho))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1.0, (draw(st.integers(0, 30)), d))
+    x[rng.uniform(size=x.shape) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0.0
+    return members, x
+
+
+class TestValueRows:
+    @settings(max_examples=80, deadline=None)
+    @given(case=value_row_cases())
+    def test_each_row_is_the_reference_alone_or_in_a_list(self, case):
+        members, x = case
+        rows = list(value_rows(members, x))
+        assert len(rows) == len(members)
+        for u, row in zip(members, rows):
+            assert np.array_equal(row, reference_values(u, x))
+            assert np.array_equal(next(value_rows([u], x)), row)
+            assert np.array_equal(u.value_batch(x), row)
+
+    @pytest.mark.parametrize("kind, rho", [("cobb_douglas", None), ("ces", 2.0), ("ces", -1.0)])
+    def test_negative_bundle_raises(self, kind, rho):
+        members = [WaldUtility("linear", (0.5, 0.5)), WaldUtility(kind, (0.5, 0.5), rho)]
+        x = np.array([[0.5, 0.25], [0.5, -0.25]])
+        assert np.array_equal(next(value_rows(members, x)), members[0].value_batch(x))
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(value_rows(members, x))
+        with pytest.raises(ValueError, match="nonnegative"):
+            members[1].value_batch(x)
+
+
+@st.composite
 def erm_cases(draw):
     """A family (linear, Cobb-Douglas, or CES with rhos of either sign, repeats
     allowed) and a dataset whose coordinates are often zero or coarse, so
@@ -283,6 +325,16 @@ class TestMuEstimate:
         est, se = mu_estimate(u, u, ConstantFlip(0.75), BOX, 1, seed=9)
         assert se == 0.0
         assert 0.0 <= est <= 1.0
+
+
+@pytest.mark.parametrize("helper", [
+    lambda u, m: mu_estimate(u, u, ConstantFlip(0.75), BOX, m, seed=9),
+    lambda u, m: separation_estimate(u, u, ConstantFlip(0.75), BOX, m, seed=9),
+    lambda u, m: disagreement(u, u, BOX, m, seed=9),
+], ids=["mu_estimate", "separation_estimate", "disagreement"])
+def test_monte_carlo_helpers_need_one_pair(helper):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        helper(WaldUtility("linear", (0.3, 0.7)), 0)
 
 
 class TestSeparation:

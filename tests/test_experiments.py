@@ -225,6 +225,11 @@ class TestEuTable:
             assert np.array_equal(universe_values([p], sig)[0], row)
             assert np.array_equal(universe_values([p], sig, acts)[0], row[acts])
 
+    def test_no_preferences_give_an_empty_table(self):
+        sig = build_sigma(2, UNIT, 1, 2, k=1)
+        assert universe_values([], sig).shape == (0, sig.universe_size)
+        assert universe_values([], sig, []).shape == (0, 0)
+
 
 class TestGeneratedChoices:
     def test_dominating_act_chosen(self):
