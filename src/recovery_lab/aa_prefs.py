@@ -296,18 +296,28 @@ class AAPreference:
 def eu_table(indices, lotteries) -> np.ndarray:
     """Expected utility of each lottery under each index, shape (U, L) (U may be 0).
 
-    Each index is interpolated once, on the lotteries' pooled money points.
-    Each entry is one contiguous dot, the one a lone lottery takes: a matmul
-    would round some entries differently in the last bit.
+    The lotteries are grouped by support size K, and each index is interpolated
+    once on their supports laid out group by group.  Each group takes one stacked
+    matmul of (1, K) @ (K, 1) products of contiguous vectors, for which matmul
+    calls the same ``ddot`` as a lone ``np.dot``: every entry is bit for bit the
+    lone lottery's, whatever its batch.  A strided K axis would round apart.
     """
     if len({u.interval for u in indices} | {lot.interval for lot in lotteries}) > 1:
         raise IntervalMismatchError("lottery and index on different intervals")
-    points = np.array(sorted({x for lot in lotteries for x in lot.support}))
-    u_points = np.array([u(points) for u in indices]).reshape(len(indices), len(points))  # (U, G)
-    table = np.empty((len(indices), len(lotteries)))
+    by_size: dict[int, list[int]] = {}
     for c, lot in enumerate(lotteries):
-        u_support = np.ascontiguousarray(u_points[:, np.searchsorted(points, lot.support_array)])
-        table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
+        by_size.setdefault(len(lot.support), []).append(c)
+    lots = [lotteries[c] for cols in by_size.values() for c in cols]
+    support = np.array([x for lot in lots for x in lot.support])
+    probs = np.array([w for lot in lots for w in lot.probs])
+    u_support = np.array([np.interp(support, u._knots_arr, u._values_arr) for u in indices])
+    u_support = u_support.reshape(len(indices), len(support))
+    table, start = np.empty((len(indices), len(lotteries))), 0
+    for k, cols in by_size.items():
+        end = start + k * len(cols)
+        stacked = np.matmul(probs[start:end].reshape(len(cols), 1, k),
+                            u_support[:, start:end].reshape(len(indices), len(cols), k, 1))
+        table[:, cols], start = stacked[..., 0, 0], end
     return table
 
 

@@ -18,9 +18,10 @@ import numpy as np
 
 # act_value and expected_utility are not called here, but perfbench's traced
 # run patches them on this module, so the names stay bound
-from ..aa_prefs import AAPreference, Act, act_value, aggregate, eu_table, expected_utility  # noqa: F401
+from ..aa_prefs import EU, AAPreference, Act, act_value, aggregate, eu_table, expected_utility  # noqa: F401
 from ..errors import EnumerationCapError, ShapeMismatchError
 from ..lotteries import Interval, Lottery, enumerate_rational_lotteries
+from .prefgrids import EUGrid
 
 #: Two act values within this tolerance count as indifferent.
 VALUE_TIE_TOL = 1e-12
@@ -56,6 +57,13 @@ class SigmaSequence:
         return tuple(
             Act(tuple(self.base_lotteries[i] for i in idx)) for idx in self.act_indices
         )
+
+    @cached_property
+    def act_index_array(self) -> np.ndarray:
+        """``act_indices`` as a read-only (m, S) array."""
+        out = np.asarray(self.act_indices)
+        out.flags.writeable = False
+        return out
 
 
 def build_sigma(
@@ -93,45 +101,53 @@ def build_sigma(
     )
 
 
-def universe_values(prefs: list[AAPreference], sigma: SigmaSequence, acts=None) -> np.ndarray:
+def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
     """Value of the universe acts at positions ``acts`` (default: all of them)
-    under every preference, shape (P, len(acts)).
+    under every preference of an ``EUGrid`` or a list, shape (P, len(acts)).
 
-    Every kind reads one ``eu_table`` of the distinct indices (by ``id()``:
-    hashing an index is slow) against the base lotteries those acts use.
-    Max-min and variational rows go through ``aggregate``, bit for bit each
-    act's ``act_value``.  Expected-utility rows sum prior-weighted states in
-    state order, one slab of rows at a time.  So no entry depends on the
-    preferences or acts batched with it, which callers valuing a few acts or
+    Every kind reads one ``eu_table`` of the distinct indices its rows use (a
+    list's told apart by ``id()``: hashing an index is slow) against the base
+    lotteries those acts use.  Max-min and variational rows go through
+    ``aggregate``, bit for bit each act's ``act_value``.  Expected-utility rows
+    gather ``table[index_of]`` and sum prior-weighted states in state order,
+    multiplying then adding, one slab of rows at a time.  So no entry depends on
+    the preferences or acts batched with it, which callers valuing a few acts or
     rows apart rely on.  That sum and ``act_value``'s BLAS dot differ in the
-    last bit on some entries (by at most 1.1e-16): recovery's recorded outputs
-    pin the first and theorem2's the second, so the two stay apart.
+    last bit on some entries (by at most 1.1e-16), and recorded outputs pin each
+    (recovery's and theorem2's).  On an x86-64 Xeon with numpy 2.4, a dot of
+    fewer than 16 terms is an in-order fma chain; numpy has no fma ufunc, so
+    this sum does not emulate one.
     """
-    act_idx = np.asarray(sigma.act_indices)
+    act_idx = sigma.act_index_array
     if acts is not None:
         act_idx = act_idx[np.asarray(acts, dtype=int)]
     lots = np.unique(act_idx)
     act_idx = np.searchsorted(lots, act_idx)  # columns of the table below
-    indices = {id(p.index): p.index for p in prefs}
-    row_of = {key: r for r, key in enumerate(indices)}
-    table = eu_table(list(indices.values()), [sigma.base_lotteries[i] for i in lots])
-    table = table[[row_of[id(p.index)] for p in prefs]]
+    if isinstance(prefs, EUGrid):
+        indices, index_of, priors = prefs.indices, prefs.index_of, prefs.priors
+        eu, others = np.arange(len(prefs)), []  # the expected-utility rows, and the rest
+    else:  # packed into the grid's arrays once
+        indices = list({id(p.index): p.index for p in prefs}.values())
+        row_of = {id(u): r for r, u in enumerate(indices)}
+        index_of = np.array([row_of[id(p.index)] for p in prefs], int)
+        eu = np.array([r for r, p in enumerate(prefs) if p.kind == EU], int)
+        others = [r for r, p in enumerate(prefs) if p.kind != EU]
+        priors = np.array([prefs[r].prior.weights for r in eu])
+    used, index_of = np.unique(index_of, return_inverse=True)
+    table = eu_table([indices[u] for u in used], [sigma.base_lotteries[i] for i in lots])
     out = np.empty((len(prefs), len(act_idx)))
-    for r, p in enumerate(prefs):
-        if p.kind != "eu":
-            out[r] = aggregate(p, table[r][act_idx])
-    if eu := [r for r, p in enumerate(prefs) if p.kind == "eu"]:
-        eu_rows, priors = table[eu], np.stack([prefs[r].prior.as_array for r in eu])
-        step = max(1, _GATHER_CELLS // max(2 * len(act_idx), 1))  # acc and one term live per slab
-        for start in range(0, len(eu), step):
-            rows = slice(start, start + step)  # a slab of EU rows over every act
-            acc = eu_rows[rows][:, act_idx[:, 0]]
-            acc *= priors[rows, :1]
-            for s in range(1, act_idx.shape[1]):
-                term = eu_rows[rows][:, act_idx[:, s]]
-                term *= priors[rows, s : s + 1]
-                acc += term
-            out[eu[rows]] = acc
+    for r in others:
+        out[r] = aggregate(prefs[r], table[index_of[r]][act_idx])
+    step = max(1, _GATHER_CELLS // max(2 * len(act_idx), 1))  # acc and one term live per slab
+    for start in range(0, len(eu), step):
+        rows = eu[start : start + step]  # a slab of EU rows over every act
+        acc = table[:, act_idx[:, 0]][index_of[rows]]
+        acc *= priors[start : start + step, :1]
+        for s in range(1, act_idx.shape[1]):
+            term = table[:, act_idx[:, s]][index_of[rows]]
+            term *= priors[start : start + step, s : s + 1]
+            acc += term
+        out[rows] = acc
     return out
 
 

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .._jsonio import number_field
 from ..aa_prefs import (
     AAPreference,
     Act,
@@ -68,7 +69,7 @@ from .config import (
     read_fields,
     truncation,
 )
-from .prefgrids import grid_from_config
+from .prefgrids import EUGrid, grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
 from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, universe_values
 
@@ -120,12 +121,12 @@ def _fit_domain(spec, got):
     return domain_from_dict(spec)
 
 
-def _candidates(spec, got) -> list[AAPreference]:
+def _candidates(spec, got) -> EUGrid:
     grid = grid_from_config(spec, got.interval)
     if not grid:
         raise ValueError("the grid is empty")
-    if grid[0].states.n_states != got.states:
-        raise ValueError(f"the grid has {grid[0].states.n_states} states, not {got.states}")
+    if grid.states.n_states != got.states:
+        raise ValueError(f"the grid has {grid.states.n_states} states, not {got.states}")
     return grid
 
 
@@ -137,8 +138,10 @@ def _true_index(value, got) -> int:
 
 def _proposals(value, got) -> list | None:
     for c in [] if value is None else as_list(value, 0):
-        if c and np.shape(np.asarray(c, dtype=float))[1:] != (2, got.domain.dim):
-            raise ValueError(f"{c!r} is not a list of (x, y) pairs of {got.domain.dim}-vectors")
+        for xy in as_list(c, 0):
+            if [len(number_field({"coordinates": v}, "coordinates", many=True))
+                    for v in as_list(xy, 2, 2)] != [got.domain.dim] * 2:
+                raise ValueError(f"{xy!r} is not an (x, y) pair of {got.domain.dim}-vectors")
     return value
 
 
@@ -338,7 +341,7 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         fi, fj = np.searchsorted(acts, first).T
         want = _codes(v_true[first[:, 0]] - v_true[first[:, 1]])
         alive = np.flatnonzero(np.all(_codes(v_first[:, fi] - v_first[:, fj]) == want, axis=1))
-        values = universe_values([candidates[r] for r in alive], sig)
+        values = universe_values(candidates[alive], sig)
         d_true = v_true[ii] - v_true[jj]
         worst = np.empty((3, len(alive)))  # (disagreement, dv, du) per row of values
         # blocks of rows bound the (rows, disagreement_m) temporaries

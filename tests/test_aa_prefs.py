@@ -23,6 +23,7 @@ from recovery_lab.aa_prefs import (
     aggregator_eval,
     ce_act,
     ce_lottery,
+    eu_table,
     expected_utility,
     index_distance,
     rep_distance,
@@ -33,7 +34,7 @@ from recovery_lab.errors import (
     NotStrictlyIncreasingError,
     ShapeMismatchError,
 )
-from recovery_lab.lotteries import UNIT, DominanceVerdict, delta, lottery
+from recovery_lab.lotteries import UNIT, DominanceVerdict, delta, enumerate_rational_lotteries, lottery
 from recovery_lab.experiments.sigma import build_sigma
 
 IDENT = BernoulliIndex.identity()
@@ -391,6 +392,18 @@ def loop_expected_utility(u, p):
     return float(np.dot(p.probs_array, u(p.support_array)))
 
 
+def loop_eu_table(indices, lotteries):
+    """The per-entry table: each index interpolated on the pooled money points,
+    then one ``np.dot`` per (index, lottery) entry."""
+    points = np.array(sorted({x for lot in lotteries for x in lot.support}))
+    u_points = np.array([u(points) for u in indices]).reshape(len(indices), len(points))
+    table = np.empty((len(indices), len(lotteries)))
+    for c, lot in enumerate(lotteries):
+        u_support = np.ascontiguousarray(u_points[:, np.searchsorted(points, lot.support_array)])
+        table[:, c] = [np.dot(lot.probs_array, row) for row in u_support]
+    return table
+
+
 def loop_aggregator_eval(pref, z):
     z = np.asarray(z, dtype=float)
     if pref.kind == "eu":
@@ -489,3 +502,47 @@ class TestKernelMatchesTheLoops:
         assert [len(c.args[0]) for c in table.call_args_list] == [2]  # not one per act
         assert len(table.call_args_list[0].args[1]) == 35  # the distinct lotteries
         assert got == loop_rep_distance(p1, p2, grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.one_of(st.integers(1, 40), st.sampled_from([15, 16, 17])),
+                          min_size=1, max_size=6),
+           n_indices=st.integers(0, 5), repeat=st.sampled_from(["none", "shared", "equal"]))
+    def test_eu_table_equals_the_per_entry_dot_loop(self, seed, sizes, n_indices, repeat):
+        # supports of 1 to 40 points (BLAS ddot changes kernel at 16 terms),
+        # several sizes mixed and shuffled in one call, and indices listed
+        # twice as one object or as two equal objects
+        rng = np.random.default_rng(seed)
+        lots = []
+        for k in sizes:
+            for _ in range(rng.integers(1, 4)):
+                w = rng.random(k)
+                pts = np.sort(rng.choice(np.linspace(0.0, 1.0, 41), k, replace=False))
+                lots.append(lottery(UNIT, pts.tolist(), (w / w.sum()).tolist()))
+        lots = [lots[i] for i in rng.permutation(len(lots))]
+        indices = [random_index(rng, int(rng.integers(0, 6))) for _ in range(n_indices)]
+        if indices and repeat == "shared":
+            indices.insert(0, indices[-1])
+        elif indices and repeat == "equal":
+            indices.insert(0, BernoulliIndex(UNIT, indices[-1].knots, indices[-1].values))
+        table = eu_table(indices, lots)
+        assert table.shape == (n_indices + (repeat != "none" and n_indices > 0), len(lots))
+        assert np.array_equal(table, loop_eu_table(indices, lots))
+        for c in rng.choice(len(lots), min(3, len(lots)), replace=False):
+            assert np.array_equal(eu_table(indices, [lots[c]])[:, 0], table[:, c])
+
+    def test_eu_table_at_truncation_six_eight_equals_the_per_entry_dot_loop(self):
+        # 1,716 lotteries of 1 to 8 points; a gather whose support axis is
+        # strided rounds thousands of these entries differently
+        lots = enumerate_rational_lotteries(UNIT, 6, 8)
+        indices = [random_index(np.random.default_rng(s), 3) for s in range(40)]
+        assert np.array_equal(eu_table(indices, lots), loop_eu_table(indices, lots))
+
+    def test_eu_table_makes_one_matmul_per_support_size(self):
+        lots = enumerate_rational_lotteries(UNIT, 4, 4)
+        sizes = {len(lot.support) for lot in lots}
+        assert len(sizes) == 4
+        indices = [random_index(np.random.default_rng(s)) for s in range(5)]
+        with mock.patch.object(aa_prefs.np, "matmul", wraps=np.matmul) as matmul:
+            eu_table(indices, lots)
+        assert matmul.call_count == len(sizes)

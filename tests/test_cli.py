@@ -485,6 +485,8 @@ BAD_CONFIGS = [
     ("vc", {"trials": 0}, "trials"),
     ("vc", {"family": {"quadratic": {"weight_steps": 2}}}, "family"),
     ("vc", {"proposals": [[[1.0, 0.0]]]}, "proposals"),
+    # coordinates are checked as numbers, not cast: "1" and true are refused
+    ("vc", {"proposals": [[[["1", 0], [0, True]]]]}, "proposals"),
     ("separation", {"m": 0}, "m"),
     ("separation", {"n_pairs": 0}, "n_pairs"),
     ("separation", {"family": {"quadratic": {"weight_steps": 2}}}, "family"),

@@ -13,6 +13,7 @@ from recovery_lab.aa_prefs import (
     Prior,
     expected_utility,
     index_distance,
+    simplex_grid,
 )
 from recovery_lab.errors import EnumerationCapError, IntervalMismatchError
 from recovery_lab.experiments import (
@@ -33,7 +34,7 @@ from recovery_lab.experiments import (
 )
 from recovery_lab.experiments import sigma as sigma_module
 from recovery_lab.experiments import sweeps as sweeps_module
-from recovery_lab.experiments.prefgrids import index_value_grid
+from recovery_lab.experiments.prefgrids import EUGrid, index_value_grid
 from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_iter
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
@@ -229,6 +230,55 @@ class TestEuTable:
         sig = build_sigma(2, UNIT, 1, 2, k=1)
         assert universe_values([], sig).shape == (0, sig.universe_size)
         assert universe_values([], sig, []).shape == (0, 0)
+
+
+class TestEUGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(states=st.integers(1, 4), prior_steps=st.integers(1, 4), value_steps=st.integers(3, 7),
+           knots=st.sampled_from([[0.5], [0.3, 0.7], [0.2, 0.45, 0.8]]),
+           level=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+           picks=st.lists(st.integers(0, 10_000), max_size=20))
+    def test_a_grid_values_as_its_member_list_and_the_reference(
+        self, states, prior_steps, value_steps, knots, level, picks
+    ):
+        grid = eu_grid(states, UNIT, prior_steps, knots, value_steps)
+        sig = build_sigma(states, UNIT, *level, k=1)
+        acts = [i % sig.universe_size for i in picks]
+        want = reference_universe_values(list(grid), sig) if len(grid) else np.empty((0, sig.universe_size))
+        for got in (universe_values(grid, sig), universe_values(list(grid), sig)):
+            assert np.array_equal(got, want)
+        for got in (universe_values(grid, sig, acts), universe_values(list(grid), sig, acts)):
+            assert np.array_equal(got, want[:, acts])
+        rows = [i % len(grid) for i in picks] if len(grid) else []
+        assert np.array_equal(universe_values(grid[np.array(rows, int)], sig), want[rows])
+
+    @pytest.mark.parametrize("states, prior_steps, knots, value_steps",
+                             [(1, 1, [0.5], 6), (2, 3, [1 / 3, 2 / 3], 6), (3, 2, [0.3, 0.7], 5)])
+    def test_members_are_the_preferences_of_the_list_it_replaced(
+        self, states, prior_steps, knots, value_steps
+    ):
+        grid = eu_grid(states, UNIT, prior_steps, knots, value_steps)
+        old = [AAPreference.eu(u, p) for p in simplex_grid(states, prior_steps)
+               for u in index_value_grid(UNIT, knots, value_steps)]
+        assert len(grid) == len(old) and list(grid) == old
+        assert [grid[r] for r in (0, -1, len(old) // 2)] == [old[0], old[-1], old[len(old) // 2]]
+        assert isinstance(grid[2:5], EUGrid) and list(grid[2:5]) == old[2:5]
+        assert list(grid[np.array([4, 0, 4])]) == [old[4], old[0], old[4]]
+        with pytest.raises(IndexError):
+            grid[len(old)]
+        assert not grid.index_of.flags.writeable and not grid.priors.flags.writeable
+
+    def test_the_recovery_benchmark_grid_builds_each_index_once_and_no_member(self, monkeypatch):
+        made = {BernoulliIndex: 0, AAPreference: 0}
+        for cls in made:
+            def counted(self, cls=cls, real=cls.__post_init__):
+                made[cls] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        grid = grid_from_config(TestRecoveryWork.CFG["candidates"], UNIT)
+        assert len(grid) == 2783 and len(grid.indices) == 253
+        assert made == {BernoulliIndex: 253, AAPreference: 0}
 
 
 class TestGeneratedChoices:
