@@ -106,20 +106,12 @@ class BernoulliIndex:
     def identity(interval: Interval = UNIT) -> "BernoulliIndex":
         return BernoulliIndex(interval, (interval.a, interval.b), (0.0, 1.0))
 
-    @cached_property
-    def _knots_arr(self) -> np.ndarray:
-        return np.asarray(self.knots, dtype=float)
-
-    @cached_property
-    def _values_arr(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
     @property
     def is_strictly_increasing(self) -> bool:
         return all(v2 > v1 for v1, v2 in zip(self.values, self.values[1:]))
 
     def __call__(self, x) -> float | np.ndarray:
-        out = np.interp(x, self._knots_arr, self._values_arr)
+        out = np.interp(x, self.knots, self.values)
         return float(out) if np.isscalar(x) else out
 
     def to_dict(self) -> dict:
@@ -310,7 +302,7 @@ def eu_table(indices, lotteries) -> np.ndarray:
     lots = [lotteries[c] for cols in by_size.values() for c in cols]
     support = np.array([x for lot in lots for x in lot.support])
     probs = np.array([w for lot in lots for w in lot.probs])
-    u_support = np.array([np.interp(support, u._knots_arr, u._values_arr) for u in indices])
+    u_support = np.array([np.interp(support, u.knots, u.values) for u in indices])
     u_support = u_support.reshape(len(indices), len(support))
     table, start = np.empty((len(indices), len(lotteries))), 0
     for k, cols in by_size.items():
@@ -420,7 +412,7 @@ def index_distance(u1: BernoulliIndex, u2: BernoulliIndex) -> float:
     """
     if u1.interval != u2.interval:
         raise IntervalMismatchError("indices on different intervals")
-    grid = np.union1d(u1._knots_arr, u2._knots_arr)
+    grid = np.union1d(u1.knots, u2.knots)
     return float(np.max(np.abs(u1(grid) - u2(grid))))
 
 

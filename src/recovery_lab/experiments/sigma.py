@@ -5,14 +5,14 @@ lotteries on a rational money grid with bounded-denominator probabilities.
 Pairs of universe elements are presented in a fixed diagonal enumeration
 (by index sum, then lower index), so every unordered pair eventually
 appears exactly once and prefixes of the enumeration form growing finite
-experiments.
+experiments.  An experiment is arrays: acts are rows of base-lottery
+indices, pairs are rows of act positions, and choices are codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -29,24 +29,42 @@ VALUE_TIE_TOL = 1e-12
 _GATHER_CELLS = 1 << 19  # most doubles live in one slab of universe_values' EU sum
 
 
-def diagonal_pair_iter(m: int):
-    """Index pairs i < j of range(m) in (i + j, i) order, lazily."""
-    for s in range(1, 2 * m - 2):
-        for i in range(max(0, s - m + 1), (s - 1) // 2 + 1):
-            yield i, s - i
+def diagonal_pairs(m: int, k: int) -> np.ndarray:
+    """The first k index pairs i < j of range(m) in (i + j, i) order, shape (k, 2).
+
+    Index sum s holds the n(s) = (s - 1) // 2 + 1 - max(0, s - m + 1) pairs
+    whose lower index runs up from max(0, s - m + 1); the counts' running total
+    finds the last sum needed.  k must not exceed m (m - 1) / 2.
+    """
+    s = np.arange(1, 2 * m - 2)
+    lo = np.maximum(0, s - m + 1)
+    n = (s - 1) // 2 + 1 - lo
+    end = np.cumsum(n)
+    last = np.searchsorted(end, k) + 1  # the sums up to the one holding pair k
+    s, lo, n = s[:last], lo[:last], n[:last]
+    i = np.repeat(lo + n - end[:last], n) + np.arange(n.sum())
+    out = np.stack([i, np.repeat(s, n) - i], axis=1)[:k]
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaSequence:
-    """The first k presented pairs from one truncation level's universe."""
+    """The first k presented pairs from one truncation level's universe.
+
+    ``act_indices`` is a read-only (m, S) int array: row a holds, per state,
+    the position in ``base_lotteries`` of universe act a's lottery.
+    ``pairs`` is a read-only (k, 2) int array of act positions, in
+    presentation order.
+    """
 
     states: int
     interval: Interval
     denominator_bound: int
     grid_count: int
     base_lotteries: tuple[Lottery, ...]
-    act_indices: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, int], ...]
+    act_indices: np.ndarray
+    pairs: np.ndarray
 
     @property
     def universe_size(self) -> int:
@@ -55,15 +73,8 @@ class SigmaSequence:
     @cached_property
     def universe(self) -> tuple[Act, ...]:
         return tuple(
-            Act(tuple(self.base_lotteries[i] for i in idx)) for idx in self.act_indices
+            Act(tuple(self.base_lotteries[i] for i in idx)) for idx in self.act_indices.tolist()
         )
-
-    @cached_property
-    def act_index_array(self) -> np.ndarray:
-        """``act_indices`` as a read-only (m, S) array."""
-        out = np.asarray(self.act_indices)
-        out.flags.writeable = False
-        return out
 
 
 def build_sigma(
@@ -76,34 +87,35 @@ def build_sigma(
 ) -> SigmaSequence:
     """First k pairs of the canonical enumeration at one truncation level.
 
-    ``permutation`` reorders the universe before the diagonal enumeration;
-    replicated sweeps use seeded permutations to perturb only the order in
-    which pairs are presented.
+    The universe is every act of base lotteries in lexicographic order;
+    ``permutation`` reorders it before the diagonal enumeration.  Replicated
+    sweeps use seeded permutations to perturb only the order in which pairs
+    are presented.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     lots = tuple(enumerate_rational_lotteries(interval, denominator_bound, grid_count))
-    act_idx = [tuple(c) for c in product(range(len(lots)), repeat=states)]
-    if permutation is not None:
-        if sorted(permutation) != list(range(len(act_idx))):
-            raise ValueError("permutation must rearrange the full universe")
-        act_idx = [act_idx[p] for p in permutation]
+    act_idx = np.indices((len(lots),) * states).reshape(states, -1).T
     m = len(act_idx)
+    if permutation is not None:
+        if not np.array_equal(np.sort(permutation), np.arange(m)):
+            raise ValueError("permutation must rearrange the full universe")
+        act_idx = act_idx[np.asarray(permutation)]
+    act_idx.flags.writeable = False
     total = m * (m - 1) // 2
     if k > total:
         raise EnumerationCapError(
             f"k={k} exceeds the {total} pairs available; raise the truncation level"
         )
-    it = diagonal_pair_iter(m)
-    pairs = tuple(next(it) for _ in range(k))
     return SigmaSequence(
-        states, interval, denominator_bound, grid_count, lots, tuple(act_idx), pairs
+        states, interval, denominator_bound, grid_count, lots, act_idx, diagonal_pairs(m, k)
     )
 
 
 def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
     """Value of the universe acts at positions ``acts`` (default: all of them)
     under every preference of an ``EUGrid`` or a list, shape (P, len(acts)).
+    A preference over another number of states raises ``ShapeMismatchError``.
 
     Every kind reads one ``eu_table`` of the distinct indices its rows use (a
     list's told apart by ``id()``: hashing an index is slow) against the base
@@ -118,7 +130,10 @@ def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
     fewer than 16 terms is an in-order fma chain; numpy has no fma ufunc, so
     this sum does not emulate one.
     """
-    act_idx = sigma.act_index_array
+    states = {prefs.states.n_states} if isinstance(prefs, EUGrid) else {p.states.n_states for p in prefs}
+    if states - {sigma.states}:
+        raise ShapeMismatchError(f"preferences over {sorted(states)} states, acts over {sigma.states}")
+    act_idx = sigma.act_indices
     if acts is not None:
         act_idx = act_idx[np.asarray(acts, dtype=int)]
     lots = np.unique(act_idx)
@@ -151,46 +166,44 @@ def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def choice_codes(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Choice codes of the pairs (k, 2) under act values (..., m), shape (..., k):
+    0 when the two values tie within ``VALUE_TIE_TOL``, 1 when the first act is
+    chosen and 2 when the second is."""
+    d = values[..., pairs[:, 0]] - values[..., pairs[:, 1]]
+    return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
+
+
+@dataclass(frozen=True, eq=False)
 class ChoiceFunctionData:
-    """Observed selections, possibly both elements, for each presented pair."""
+    """Observed choices on the presented pairs as ``codes``, shape (k,): code c
+    on pair (i, j) means the chosen set {i, j} (c = 0), {i} (1) or {j} (2)."""
 
     sigma: SigmaSequence
-    chosen: tuple[frozenset[int], ...]
+    codes: np.ndarray
 
     def __post_init__(self):
-        if len(self.chosen) != len(self.sigma.pairs):
-            raise ShapeMismatchError("one chosen set per presented pair required")
-        if any(not c for c in self.chosen):
-            raise ValueError("every pair needs a nonempty chosen set")
-
-
-def _argmax_set(i: int, j: int, vi: float, vj: float) -> frozenset[int]:
-    if abs(vi - vj) <= VALUE_TIE_TOL:
-        return frozenset((i, j))
-    return frozenset((i,)) if vi > vj else frozenset((j,))
+        codes = np.asarray(self.codes)
+        if codes.shape != (len(self.sigma.pairs),):
+            raise ShapeMismatchError("one choice code per presented pair required")
+        if not np.isin(codes, (0, 1, 2)).all():
+            raise ValueError("a choice code is 0 (both chosen), 1 (first) or 2 (second)")
+        object.__setattr__(self, "codes", codes)
 
 
 def generated_choices(pref: AAPreference, sigma: SigmaSequence) -> ChoiceFunctionData:
     """The choice data a maximizer with this preference produces; ties keep both."""
-    values = universe_values([pref], sigma)[0]
-    chosen = tuple(
-        _argmax_set(i, j, values[i], values[j]) for i, j in sigma.pairs
-    )
-    return ChoiceFunctionData(sigma, chosen)
-
-
-def _candidate_sets(pref: AAPreference, data: ChoiceFunctionData):
-    values = universe_values([pref], data.sigma)[0]
-    for (i, j), observed in zip(data.sigma.pairs, data.chosen):
-        yield observed, _argmax_set(i, j, values[i], values[j])
+    return ChoiceFunctionData(sigma, choice_codes(universe_values([pref], sigma)[0], sigma.pairs))
 
 
 def strongly_rationalizes(pref: AAPreference, data: ChoiceFunctionData) -> bool:
     """Candidate maximizer sets equal the observed sets on every pair."""
-    return all(obs == cand for obs, cand in _candidate_sets(pref, data))
+    cand = choice_codes(universe_values([pref], data.sigma)[0], data.sigma.pairs)
+    return bool(np.all(cand == data.codes))
 
 
 def weakly_rationalizes(pref: AAPreference, data: ChoiceFunctionData) -> bool:
-    """Observed selections are contained in the candidate maximizer sets."""
-    return all(obs <= cand for obs, cand in _candidate_sets(pref, data))
+    """Observed selections are contained in the candidate maximizer sets: the
+    candidate is indifferent, or chooses as observed, on every pair."""
+    cand = choice_codes(universe_values([pref], data.sigma)[0], data.sigma.pairs)
+    return bool(np.all((cand == 0) | (cand == data.codes)))

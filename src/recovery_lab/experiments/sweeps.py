@@ -71,7 +71,7 @@ from .config import (
 )
 from .prefgrids import EUGrid, grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
-from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, universe_values
+from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, choice_codes, universe_values
 
 THREADS_ENV = "RECOVERY_LAB_THREADS"
 
@@ -303,11 +303,6 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
-def _codes(d: np.ndarray) -> np.ndarray:
-    """Choice codes of value differences: 0 tie, 1 first act, 2 second act."""
-    return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
-
-
 RECOVERY_FIELDS = fields(
     states=count(1), interval=INTERVAL, truncation=truncation(), k_grid=counts(0),
     replicates=count(1, 3), disagreement_m=count(1, 4000), candidates=CANDIDATES,
@@ -325,7 +320,6 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
         # a k=0 cell is a vacuous constraint
         sig = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1), permutation=perm)
-        pairs = np.asarray(sig.pairs)
         v_true = universe_values([true], sig)[0]
         rng2 = np.random.default_rng([seed, rep, 1])
         ii = rng2.integers(0, m_universe, f.disagreement_m)
@@ -335,12 +329,11 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         # later cell codes its new pairs on those, and the per-row statistics
         # are computed once.  No entry depends on its batch, so all of these
         # are entries of the one full (candidates, acts) table.
-        first = pairs[:k_grid[0]]
+        first = sig.pairs[:k_grid[0]]
         acts = np.unique(first)
         v_first = universe_values(candidates, sig, acts)
-        fi, fj = np.searchsorted(acts, first).T
-        want = _codes(v_true[first[:, 0]] - v_true[first[:, 1]])
-        alive = np.flatnonzero(np.all(_codes(v_first[:, fi] - v_first[:, fj]) == want, axis=1))
+        want = choice_codes(v_true, first)
+        alive = np.flatnonzero(np.all(choice_codes(v_first, np.searchsorted(acts, first)) == want, axis=1))
         values = universe_values(candidates[alive], sig)
         d_true = v_true[ii] - v_true[jj]
         worst = np.empty((3, len(alive)))  # (disagreement, dv, du) per row of values
@@ -354,9 +347,10 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         out = []
         prev = k_grid[0]
         for k in k_grid:
-            pi, pj = pairs[prev:k].T
-            cand = _codes(values[np.ix_(keep, pi)] - values[np.ix_(keep, pj)])
-            keep = keep[np.all(cand == _codes(v_true[pi] - v_true[pj]), axis=1)]
+            new = sig.pairs[prev:k]
+            cols = np.unique(new)  # gathered first: a copy of values[keep] would double the table
+            cand = choice_codes(values[np.ix_(keep, cols)], np.searchsorted(cols, new))
+            keep = keep[np.all(cand == choice_codes(v_true, new), axis=1)]
             prev = k
             if len(keep) == 0:
                 out.append((k, rep, 0, math.nan, math.nan, math.nan, True))
@@ -584,33 +578,30 @@ UNIQUENESS_FIELDS = fields(
 def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
     f = read_fields(cfg, UNIQUENESS_FIELDS)
     members, schedule = f.candidates, f.schedule
-    pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
-    level_found = {p: -1 for p in pairs}
+    first, second = np.triu_indices(len(members), 1)  # every member pair, row by row
+    found = np.full(len(first), -1)  # the level that first separates each pair, or -1
     for level, (den, gc) in enumerate(schedule):
-        open_pairs = [p for p in pairs if level_found[p] < 0]
-        if not open_pairs:
+        open_pairs = np.flatnonzero(found < 0)
+        if not len(open_pairs):
             break
-        sig = build_sigma(f.states, f.interval, den, gc, k=1)
-        values = universe_values(members, sig)
-        for i, j in open_pairs:
-            if _has_strict_inversion(values[i], values[j]):
-                level_found[(i, j)] = level
-    csv_rows = [[i, j, level_found[(i, j)]] for i, j in pairs]
-    unseparated = sum(1 for v in level_found.values() if v < 0)
+        values = universe_values(members, build_sigma(f.states, f.interval, den, gc, k=1))
+        for p in open_pairs:
+            if _has_strict_inversion(values[first[p]], values[second[p]]):
+                found[p] = level
+    csv_rows = np.stack([first, second, found], axis=1).tolist()
     cells = [
         {
             "cell": level,
-            "pairs_separated_here": sum(1 for v in level_found.values() if v == level),
+            "pairs_separated_here": int(np.count_nonzero(found == level)),
             "denominator_bound": den,
             "grid_count": gc,
         }
         for level, (den, gc) in enumerate(schedule)
     ]
-    max_level = max((v for v in level_found.values() if v >= 0), default=-1)
     notes = [
-        f"distinct members: {len(pairs)} pairs; "
-        f"max truncation level needed: {max_level}; "
-        f"unseparated pairs: {unseparated}",
+        f"distinct members: {len(first)} pairs; "
+        f"max truncation level needed: {found.max(initial=-1)}; "
+        f"unseparated pairs: {np.count_nonzero(found < 0)}",
     ]
     separated = [float(c["pairs_separated_here"]) for c in cells]
     return _output("uniqueness", cfg, {}, notes, cells, "first,second,level", csv_rows,

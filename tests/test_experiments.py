@@ -15,8 +15,9 @@ from recovery_lab.aa_prefs import (
     index_distance,
     simplex_grid,
 )
-from recovery_lab.errors import EnumerationCapError, IntervalMismatchError
+from recovery_lab.errors import EnumerationCapError, IntervalMismatchError, ShapeMismatchError
 from recovery_lab.experiments import (
+    ChoiceFunctionData,
     build_sigma,
     eu_grid,
     generated_choices,
@@ -35,7 +36,7 @@ from recovery_lab.experiments import (
 from recovery_lab.experiments import sigma as sigma_module
 from recovery_lab.experiments import sweeps as sweeps_module
 from recovery_lab.experiments.prefgrids import EUGrid, index_value_grid
-from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pair_iter
+from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pairs
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
 from test_aa_prefs import kernel_pref, loop_act_value
@@ -48,6 +49,14 @@ def small_sigma(k=1, states=1, den=1, grid=2):
     return build_sigma(states, UNIT, den, grid, k=k)
 
 
+def diagonal_pair_iter(m: int):
+    """Index pairs i < j of range(m) in (i + j, i) order, lazily: the
+    enumeration ``diagonal_pairs`` computes in closed form."""
+    for s in range(1, 2 * m - 2):
+        for i in range(max(0, s - m + 1), (s - 1) // 2 + 1):
+            yield i, s - i
+
+
 class TestSigma:
     def test_single_state_minimal_universe(self):
         sig = small_sigma()
@@ -55,7 +64,7 @@ class TestSigma:
         lots = [a.per_state[0] for a in sig.universe]
         assert fosd_compare(lots[0], delta(0.0)).name == "EQUAL"
         assert fosd_compare(lots[1], delta(1.0)).name == "EQUAL"
-        assert sig.pairs == ((0, 1),)
+        assert sig.pairs.tolist() == [[0, 1]]
 
     def test_pair_count_choose_two(self):
         # universe of 6 lotteries from denominator 2 on a 3-point grid
@@ -68,11 +77,41 @@ class TestSigma:
             build_sigma(1, UNIT, 1, 2, k=2)
 
     def test_diagonal_order_every_pair_once(self):
-        pairs = list(diagonal_pair_iter(6))
+        pairs = [tuple(p) for p in diagonal_pairs(6, 15).tolist()]
         assert len(pairs) == 15
         assert len(set(pairs)) == 15
         sums = [i + j for i, j in pairs]
         assert sums == sorted(sums)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 80))
+    def test_closed_form_pairs_are_the_enumerations_prefix(self, data, m):
+        k = data.draw(st.integers(0, m * (m - 1) // 2))
+        got = diagonal_pairs(m, k)
+        assert got.shape == (k, 2)
+        assert [tuple(p) for p in got.tolist()] == list(diagonal_pair_iter(m))[:k]
+
+    @pytest.mark.parametrize("states, den, gc, k", [(1, 1, 2, 1), (2, 2, 3, 40), (3, 1, 2, 28)])
+    def test_experiment_arrays_are_read_only_with_the_documented_shapes(self, states, den, gc, k):
+        for perm in (None, np.arange(build_sigma(states, UNIT, den, gc, k=1).universe_size)[::-1]):
+            sig = build_sigma(states, UNIT, den, gc, k=k, permutation=perm)
+            assert sig.act_indices.shape == (sig.universe_size, states)
+            assert sig.pairs.shape == (k, 2)
+            for arr in (sig.act_indices, sig.pairs):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1
+            # product order of the base lotteries, then the permutation
+            order = np.ndindex(*(len(sig.base_lotteries),) * states)
+            plain = np.array(list(order)).reshape(-1, states)
+            assert np.array_equal(sig.act_indices, plain if perm is None else plain[perm])
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 4],
+                                      [5, 5, 3, 2, 1, 0], [1, 2, 3, 4, 5, 6]])
+    def test_a_permutation_of_another_universe_is_refused(self, perm):
+        # the universe has 6 acts: short, too long, a duplicate, out of range
+        with pytest.raises(ValueError, match="permutation"):
+            build_sigma(1, UNIT, 2, 3, k=1, permutation=np.array(perm))
 
     def test_countable_order_extremes(self):
         # the extreme point masses bound every universe element statewise
@@ -115,7 +154,7 @@ def reference_universe_values(prefs, sig):
     the prior-weighted states summed in state order."""
     table = np.array([[expected_utility(p.index, lot) for lot in sig.base_lotteries] for p in prefs])
     priors = np.stack([p.prior.as_array for p in prefs])
-    statewise = table[:, np.asarray(sig.act_indices)]  # (P, m, S)
+    statewise = table[:, sig.act_indices]  # (P, m, S)
     out = statewise[:, :, 0] * priors[:, None, 0]
     for s in range(1, priors.shape[1]):
         out = out + statewise[:, :, s] * priors[:, None, s]
@@ -231,6 +270,18 @@ class TestEuTable:
         assert universe_values([], sig).shape == (0, sig.universe_size)
         assert universe_values([], sig, []).shape == (0, 0)
 
+    @pytest.mark.parametrize("kind", ["eu", "maxmin", "variational", "grid"])
+    def test_preferences_over_another_state_count_are_refused(self, kind):
+        one_state = build_sigma(1, UNIT, 1, 2, k=1)
+        if kind == "grid":
+            prefs = eu_grid(2, UNIT, 2, [0.5], 2)
+        else:
+            prefs = [kernel_pref(np.random.default_rng(0), kind, 2, True)]
+        with pytest.raises(ShapeMismatchError):
+            universe_values(prefs, one_state)
+        with pytest.raises(ShapeMismatchError):  # beside a preference that fits
+            universe_values([AAPreference.eu(IDENT, Prior((1.0,))), prefs[0]], one_state)
+
 
 class TestEUGrid:
     @settings(max_examples=25, deadline=None)
@@ -286,27 +337,37 @@ class TestGeneratedChoices:
         sig = small_sigma()
         pref = AAPreference.eu(IDENT, Prior((1.0,)))
         data = generated_choices(pref, sig)
-        assert data.chosen[0] == frozenset((1,))  # the sure-1 act wins
+        assert data.codes.tolist() == [2]  # the second act, the sure 1, wins
 
     def test_equal_values_keep_both(self):
         sig = build_sigma(2, UNIT, 1, 2, k=6)
         pref = AAPreference.eu(IDENT, Prior((0.5, 0.5)))
         data = generated_choices(pref, sig)
         values = universe_values([pref], sig)[0]
-        for (i, j), ch in zip(sig.pairs, data.chosen):
+        for (i, j), code in zip(sig.pairs, data.codes):
             if abs(values[i] - values[j]) <= VALUE_TIE_TOL:
-                assert ch == frozenset((i, j))
+                assert code == 0
 
     def test_state_prior_drives_choice(self):
         sig = build_sigma(2, UNIT, 1, 2, k=6)
         pref = AAPreference.eu(IDENT, Prior((1.0, 0.0)))
         data = generated_choices(pref, sig)
         # find the pair {(d1, d0), (d0, d1)}; the first-state-win act must win
-        for (i, j), ch in zip(sig.pairs, data.chosen):
+        for (i, j), code in zip(sig.pairs, data.codes):
             vi = act_value(pref, sig.universe[i])
             vj = act_value(pref, sig.universe[j])
             if abs(vi - vj) > VALUE_TIE_TOL:
-                assert ch == frozenset((i,) if vi > vj else (j,))
+                assert code == (1 if vi > vj else 2)
+
+    def test_choice_data_refuses_a_wrong_length_or_code(self):
+        sig = build_sigma(2, UNIT, 1, 2, k=6)
+        ChoiceFunctionData(sig, np.array([0, 1, 2, 0, 1, 2]))
+        for codes in ([0, 1, 2, 0, 1], [0, 1, 2, 0, 1, 2, 0], [[0, 1, 2, 0, 1, 2]]):
+            with pytest.raises(ShapeMismatchError):
+                ChoiceFunctionData(sig, np.array(codes))
+        for codes in ([0, 1, 2, 0, 1, 3], [0, 1, 2, 0, 1, -1], [0, 1, 2, 0, 1, 0.5]):
+            with pytest.raises(ValueError):
+                ChoiceFunctionData(sig, np.array(codes))
 
 
 class TestRationalization:
@@ -332,9 +393,25 @@ class TestRationalization:
         truth = AAPreference.eu(concave, Prior((1.0,)))
         cand = AAPreference.eu(IDENT, Prior((1.0,)))
         data = generated_choices(truth, sig)
-        assert any(len(c) == 1 for c in data.chosen)
+        assert np.any(data.codes != 0)  # some pair has one chosen act
         assert weakly_rationalizes(cand, data)
         assert not strongly_rationalizes(cand, data)
+
+    # the one pair (d0, d1) vs (d1, d0): a prior (p, 1 - p) values them 1 - p and p
+    CODE_OF_PRIOR = {(0.5, 0.5): 0, (0.0, 1.0): 1, (1.0, 0.0): 2}
+
+    @pytest.mark.parametrize("observed", [0, 1, 2])
+    @pytest.mark.parametrize("prior", sorted(CODE_OF_PRIOR))
+    def test_codes_rationalize_as_the_chosen_sets(self, observed, prior):
+        sig = build_sigma(2, UNIT, 1, 2, k=1, permutation=np.array([1, 2, 0, 3]))
+        cand = AAPreference.eu(IDENT, Prior(prior))
+        assert generated_choices(cand, sig).codes.tolist() == [self.CODE_OF_PRIOR[prior]]
+        (i, j), = sig.pairs.tolist()
+        chosen_set = {0: frozenset((i, j)), 1: frozenset((i,)), 2: frozenset((j,))}
+        obs, can = chosen_set[observed], chosen_set[self.CODE_OF_PRIOR[prior]]
+        data = ChoiceFunctionData(sig, np.array([observed]))
+        assert weakly_rationalizes(cand, data) == (obs <= can)
+        assert strongly_rationalizes(cand, data) == (obs == can)
 
 
 class TestRecoverySweep:
@@ -410,8 +487,7 @@ def reference_recovery_rows(cfg):
         sig = build_sigma(states, UNIT, den, gc, k=max(k_grid[-1], 1), permutation=perm)
         values = universe_values(candidates, sig)
         v_true = values[true_index]
-        pi = np.array([p[0] for p in sig.pairs])
-        pj = np.array([p[1] for p in sig.pairs])
+        pi, pj = sig.pairs.T
 
         def codes(mat):
             d = mat[..., pi] - mat[..., pj]
