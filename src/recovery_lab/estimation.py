@@ -320,5 +320,10 @@ def disagreement(pref1, pref2, domain, m: int, seed: int) -> float:
     xs, ys = _pair_batches(domain, m, seed)
     a1 = pref1.value_batch(xs) - pref1.value_batch(ys)
     a2 = pref2.value_batch(xs) - pref2.value_batch(ys)
-    flips = ((a1 > 0) & (a2 < 0)) | ((a1 < 0) & (a2 > 0))
-    return float(np.mean(flips))
+    return float(strict_disagreement(a1, a2))
+
+
+def strict_disagreement(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The share of problems (last axis) on which two value differences have
+    strictly opposite signs: the closeness proxy every report names."""
+    return np.mean(((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0)), axis=-1)

@@ -2,10 +2,13 @@
 
 Every subcommand reads a JSON config (strictly validated: a version field
 is required, unknown fields are rejected, and each field is checked against
-the subcommand's table in sweeps.py, which ``<subcommand> --help`` lists),
-honors --seed / --out / --replicates / --threads overrides, and writes
-byte-deterministic outputs into the target directory.  Exit codes: 0
-success, 2 configuration error, 3 numerical-guard failure.
+the subcommand's table in sweeps.py, which ``<subcommand> --help`` lists)
+and writes byte-deterministic outputs into the target directory.  A call
+parses one subcommand, with only the flags it acts on (--replicates where its
+table has ``replicates``, --threads where its handler takes threads, an
+integer >= 1 that RECOVERY_LAB_THREADS overrides).  Exit codes: 0 success,
+2 configuration or usage error (one ``config error:`` line), 3
+numerical-guard failure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -22,6 +26,7 @@ from . import sweeps
 from .config import REQUIRED, Field
 
 CONFIG_VERSION = 1
+THREADS_ENV = "RECOVERY_LAB_THREADS"
 
 # subcommand -> (handler, field table, takes threads)
 _REGISTRY: dict[str, tuple] = {
@@ -70,63 +75,60 @@ def load_config(path: str, table: dict[str, Field]) -> dict:
     return cfg
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="recovery-lab",
-        description="Utility recovery experiments over binary choice data.",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, (_, table, _) in _REGISTRY.items():
-        fields = [f"  version: {CONFIG_VERSION} (required)"]
-        fields += [field.help(key) for key, field in table.items()]
-        p = sub.add_parser(
-            name,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog="config fields:\n" + "\n".join(fields),
-        )
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--replicates", type=int, default=None, help="override config replicates"
-        )
-        p.add_argument(
-            "--threads", type=int, default=None, help="worker threads (outputs invariant)"
-        )
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # every usage error is one config-error line
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand: the flags it acts on, and its field table
+    as the --help epilog.  For None, the top-level usage."""
+    if command is None:
+        return _Parser(prog="recovery-lab", usage=f"%(prog)s {{{','.join(_REGISTRY)}}} --config CONFIG ...",
+                       description="Utility recovery experiments over binary choice data.")
+    _, table, takes_threads = _REGISTRY[command]
+    fields = [f"  version: {CONFIG_VERSION} (required)", *(f.help(k) for k, f in table.items())]
+    parser = _Parser(prog=f"recovery-lab {command}", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     epilog="config fields:\n" + "\n".join(fields))
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default="runs", help="output directory")
+    parser.add_argument("--seed", type=int, help="override config seed")
+    if "replicates" in table:
+        parser.add_argument("--replicates", type=int, help="override config replicates")
+    if takes_threads:
+        parser.add_argument("--threads", default="1", help=f"worker threads, >= 1 ({THREADS_ENV} overrides)")
     return parser
+
+
+def thread_count(text: str, source: str) -> int:
+    """The worker count text gives: an integer >= 1, or a config error naming source."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ConfigError(f"{source} must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    known = set(_REGISTRY)
-    if not argv or argv[0] in ("-h", "--help"):
-        parser.print_help()
-        return 0 if argv else 2
-    if argv[0] not in known:
-        sys.stderr.write(f"unknown subcommand {argv[0]!r}\n")
-        parser.print_usage(sys.stderr)
-        return 2
+    command = argv[0] if argv and argv[0] in _REGISTRY else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    handler, table, takes_threads = _REGISTRY[args.command]
-    try:
-        if args.replicates is not None and "replicates" not in table:
-            raise ConfigError(f"--replicates: {args.command} has no replicates field")
+        parser = build_parser(command)
+        if command is None:
+            parser.parse_known_args(argv[:1])  # -h or --help prints the usage and exits
+            got = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand given"
+            parser.error(f"{got}; choose from {', '.join(_REGISTRY)}")
+        args = parser.parse_args(argv[1:])
+        handler, table, takes_threads = _REGISTRY[command]
+        threads = {"threads": thread_count(args.threads, "--threads")} if takes_threads else {}
+        if takes_threads and (env := os.environ.get(THREADS_ENV)):  # the environment overrides the flag
+            threads["threads"] = thread_count(env, THREADS_ENV)
         cfg = load_config(args.config, table)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.replicates is not None:
-            cfg["replicates"] = args.replicates
+        cfg.update({k: v for k in ("seed", "replicates") if (v := vars(args).get(k)) is not None})
         start = time.perf_counter()
-        if takes_threads:
-            output = handler(cfg, threads=sweeps.resolve_threads(args.threads))
-        else:
-            output = handler(cfg)
+        output = handler(cfg, **threads)
         output.report.wall_time_seconds = time.perf_counter() - start
         output.write(args.out)
+    except SystemExit:  # --help; usage errors raise ConfigError
+        return 0
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")
         return 3

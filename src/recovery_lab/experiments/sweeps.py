@@ -11,7 +11,6 @@ thread count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,6 +34,7 @@ from ..estimation import (
     erm_fit,
     rho,
     separation_exponent_check,
+    strict_disagreement,
     vc_lower_bound,
 )
 from ..errors import ConfigError
@@ -72,19 +72,6 @@ from .config import (
 from .prefgrids import EUGrid, grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
 from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, choice_codes, universe_values
-
-THREADS_ENV = "RECOVERY_LAB_THREADS"
-
-
-def resolve_threads(flag_value: int | None) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return max(1, flag_value or 1)
-
 
 def parallel_map(fn, items, threads: int):
     """Order-preserving map; results are invariant to the thread count."""
@@ -313,14 +300,13 @@ RECOVERY_FIELDS = fields(
 def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
     f = read_fields(cfg, RECOVERY_FIELDS)
     (den, gc), k_grid, seed, candidates = f.truncation, f.k_grid, f.seed, f.candidates
-    true = candidates[f.true_index]
+    true_u = candidates.indices[candidates.index_of[f.true_index]]
     m_universe = build_sigma(f.states, f.interval, den, gc, k=1).universe_size
 
     def one_replicate(rep: int):
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
         # a k=0 cell is a vacuous constraint
         sig = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1), permutation=perm)
-        v_true = universe_values([true], sig)[0]
         rng2 = np.random.default_rng([seed, rep, 1])
         ii = rng2.integers(0, m_universe, f.disagreement_m)
         jj = rng2.integers(0, m_universe, f.disagreement_m)
@@ -331,18 +317,19 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         # are entries of the one full (candidates, acts) table.
         first = sig.pairs[:k_grid[0]]
         acts = np.unique(first)
-        v_first = universe_values(candidates, sig, acts)
-        want = choice_codes(v_true, first)
-        alive = np.flatnonzero(np.all(choice_codes(v_first, np.searchsorted(acts, first)) == want, axis=1))
+        v_first, cols = universe_values(candidates, sig, acts), np.searchsorted(acts, first)
+        want = choice_codes(v_first[f.true_index], cols)
+        alive = np.flatnonzero(np.all(choice_codes(v_first, cols) == want, axis=1))
         values = universe_values(candidates[alive], sig)
+        v_true = values[np.searchsorted(alive, f.true_index)]  # the truth survives its own choices
         d_true = v_true[ii] - v_true[jj]
         worst = np.empty((3, len(alive)))  # (disagreement, dv, du) per row of values
         # blocks of rows bound the (rows, disagreement_m) temporaries
         for rows in np.array_split(np.arange(len(alive)), -(-len(alive) * len(ii) // _GATHER_CELLS)):
             d = values[np.ix_(rows, ii)] - values[np.ix_(rows, jj)]
-            worst[0, rows] = np.mean(((d > 0) & (d_true < 0)) | ((d < 0) & (d_true > 0)), axis=1)
+            worst[0, rows] = strict_disagreement(d, d_true)
             worst[1, rows] = np.max(np.abs(values[rows] - v_true), axis=1)
-        worst[2] = [index_distance(candidates[r].index, true.index) for r in alive]
+        worst[2] = [index_distance(candidates.indices[candidates.index_of[r]], true_u) for r in alive]
         keep = np.arange(len(alive))  # rows of values still alive
         out = []
         prev = k_grid[0]
@@ -531,9 +518,7 @@ def run_nonidentification_demo(cfg: dict) -> SweepOutput:
         u2 = (f2 @ prize_values) @ state_prior
         w1 = (f1 @ vk) @ state_prior
         w2 = (f2 @ vk) @ state_prior
-        flip = float(
-            np.mean(((u1 > u2) & (w1 < w2)) | ((u1 < u2) & (w1 > w2)))
-        )
+        flip = float(strict_disagreement(u1 - u2, w1 - w2))
         dist_const = float(np.linalg.norm(vk - vk.mean()))
         csv_rows.append([k, flip, dist_const, beta])
         cells.append(
@@ -559,15 +544,21 @@ def run_nonidentification_demo(cfg: dict) -> SweepOutput:
 # ---------------------------------------------------------------------------
 
 
-def _has_strict_inversion(va: np.ndarray, vb: np.ndarray, tol: float = VALUE_TIE_TOL) -> bool:
-    """Is there a pair (i, j) with va[i] > va[j] + tol and vb[i] < vb[j] - tol?"""
-    order = np.argsort(va, kind="stable")
-    sa, sb = va[order], vb[order]
-    prefix_max = np.maximum.accumulate(sb)
-    # for each position, the largest index with value strictly below sa[t] - tol
-    cut = np.searchsorted(sa, sa - tol, side="left") - 1
-    ok = cut >= 0
-    return bool(np.any(ok & (np.where(ok, prefix_max[np.maximum(cut, 0)], -np.inf) > sb + tol)))
+def _strict_inversions(values: np.ndarray, a: int, partners: np.ndarray) -> np.ndarray:
+    """For each row b of partners: is there a pair of columns (i, j) with
+    values[a, j] < values[a, i] - tol and values[b, j] > values[b, i] + tol,
+    tol = VALUE_TIE_TOL?  Row a is sorted once, and the partners are tested in
+    blocks that bound the (partners, m) temporaries."""
+    order = np.argsort(values[a], kind="stable")
+    sa = values[a, order]
+    # for each sorted position t, the last position whose value is below sa[t] - tol
+    cut = np.searchsorted(sa, sa - VALUE_TIE_TOL, side="left") - 1
+    t = np.flatnonzero(cut >= 0)
+    found = np.zeros(len(partners), bool)
+    for rows in np.array_split(np.arange(len(partners)), -(-len(partners) * len(sa) // _GATHER_CELLS)):
+        sb = values[np.ix_(partners[rows], order)]
+        found[rows] = np.any(np.maximum.accumulate(sb, axis=1)[:, cut[t]] > sb[:, t] + VALUE_TIE_TOL, axis=1)
+    return found
 
 
 UNIQUENESS_FIELDS = fields(
@@ -585,9 +576,10 @@ def run_dense_uniqueness_check(cfg: dict) -> SweepOutput:
         if not len(open_pairs):
             break
         values = universe_values(members, build_sigma(f.states, f.interval, den, gc, k=1))
-        for p in open_pairs:
-            if _has_strict_inversion(values[first[p]], values[second[p]]):
-                found[p] = level
+        # open pairs run row by row, so each member's open partners are contiguous
+        for group in np.split(open_pairs, np.flatnonzero(np.diff(first[open_pairs])) + 1):
+            hit = _strict_inversions(values, first[group[0]], second[group])
+            found[group[hit]] = level
     csv_rows = np.stack([first, second, found], axis=1).tolist()
     cells = [
         {

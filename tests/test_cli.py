@@ -1,12 +1,17 @@
 """CLI contract: exit codes, outputs, strict configs, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -599,6 +604,104 @@ class TestFieldTables:
             sweeps.run_bound({**CLI_CONFIGS["bound"], "n_grid": []})
         with pytest.raises(ConfigError, match="states is missing"):
             sweeps.run_dense_uniqueness_check({"schedule": [[1, 2]]})
+
+
+# argv after the config path, the environment's thread count -> one usage error
+USAGE_ERRORS = {
+    "unknown subcommand": (["frobnicate", "--config", "{cfg}"], None),
+    "unknown subcommand asking for help": (["frobnicate", "--help"], None),
+    "missing --config": (["consistency"], None),
+    "--seed abc": (["consistency", "--config", "{cfg}", "--seed", "abc"], None),
+    "--bogus": (["consistency", "--config", "{cfg}", "--bogus"], None),
+    "--replicates on bound": (["bound", "--config", "{bound}", "--replicates", "2"], None),
+    "--threads on bound": (["bound", "--config", "{bound}", "--threads", "2"], None),
+    "--threads 0": (["consistency", "--config", "{cfg}", "--threads", "0"], None),
+    "--threads -1": (["consistency", "--config", "{cfg}", "--threads", "-1"], None),
+    "--threads x": (["consistency", "--config", "{cfg}", "--threads", "x"], None),
+    "env threads 0": (["consistency", "--config", "{cfg}"], "0"),
+    "env threads -3": (["consistency", "--config", "{cfg}", "--threads", "2"], "-3"),
+    "bad flag under a good env": (["consistency", "--config", "{cfg}", "--threads", "0"], "2"),
+}
+
+
+class TestUsageContract:
+    """Every argv-level or thread-count error is one ``config error:`` line."""
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_is_one_config_error_line(self, tmp_path, capsys, monkeypatch, case):
+        argv, env = USAGE_ERRORS[case]
+        paths = {"cfg": write_cfg(tmp_path, "c.json", consistency_cfg()),
+                 "bound": write_cfg(tmp_path, "b.json", CLI_CONFIGS["bound"])}
+        monkeypatch.delenv("RECOVERY_LAB_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RECOVERY_LAB_THREADS", env)
+        out = tmp_path / "o"
+        assert cli_main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:"), captured.err
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_no_subcommand_is_one_config_error_line(self, capsys):
+        assert cli_main([]) == 2
+        assert_one_line_config_error(capsys, "no subcommand")
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_valid_thread_counts_run(self, tmp_path, monkeypatch, threads):
+        monkeypatch.delenv("RECOVERY_LAB_THREADS", raising=False)
+        path = write_cfg(tmp_path, "c.json", consistency_cfg())
+        argv = ["consistency", "--config", path, "--threads", threads, "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 0
+
+    def test_one_call_builds_one_parser(self, tmp_path):
+        path = write_cfg(tmp_path, "b.json", CLI_CONFIGS["bound"])
+        calls = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            real(self, *args, **kwargs)
+
+        with mock.patch.object(argparse.ArgumentParser, "__init__", counted):
+            assert cli_main(["bound", "--config", path, "--out", str(tmp_path / "o")]) == 0
+            assert len(calls) == 1
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(["recovery", "--help"]) == 0
+            assert len(calls) == 2
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli_main(["frobnicate"]) == 2
+            assert len(calls) == 3
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[2])
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    real(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import recovery_lab.experiments.cli\n"
+            "print(len(built))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        assert cli_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli._REGISTRY)
+
+    @pytest.mark.parametrize("command", sorted(cli._REGISTRY))
+    def test_help_offers_only_the_flags_the_subcommand_acts_on(self, capsys, command):
+        assert cli_main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        _, table, takes_threads = cli._REGISTRY[command]
+        assert ("--replicates" in out) == ("replicates" in table)
+        assert ("--threads" in out) == takes_threads
 
 
 class TestPerfbenchHooks:

@@ -729,6 +729,66 @@ class TestUniqueness:
         assert len(out.csv_rows) == n * (n - 1) // 2
 
 
+def brute_inversions(values, a, partners, tol=VALUE_TIE_TOL):
+    """Every column pair of row a against each partner row, one at a time."""
+    m = values.shape[1]
+    return np.array([
+        any(values[a, j] < values[a, i] - tol and values[b, j] > values[b, i] + tol
+            for i in range(m) for j in range(m))
+        for b in partners
+    ], bool)
+
+
+# values a tie apart, within VALUE_TIE_TOL, and on its edges
+NEAR_TIES = st.sampled_from([0.0, 0.25, 0.5, 1.0]).flatmap(
+    lambda x: st.sampled_from([x, x + 5e-13, x - 5e-13, x + 1e-12, x + 2e-12, x - 3e-12]))
+
+
+class TestStrictInversions:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(2, 6), m=st.integers(1, 7), cells=st.integers(1, 20), data=st.data())
+    def test_every_member_pair_matches_the_brute_force(self, rows, m, cells, data):
+        values = np.array(data.draw(st.lists(NEAR_TIES, min_size=rows * m, max_size=rows * m)))
+        values = values.reshape(rows, m)
+        # a small slab forces several blocks of partners per member
+        with mock.patch.object(sweeps_module, "_GATHER_CELLS", cells):
+            for a in range(rows - 1):
+                partners = np.arange(a + 1, rows)
+                got = sweeps_module._strict_inversions(values, a, partners)
+                assert got.tolist() == brute_inversions(values, a, partners).tolist()
+
+    @pytest.mark.parametrize("a_gap, b_gap, want", [
+        (VALUE_TIE_TOL, 1.0, False),  # a difference of exactly the tolerance is a tie
+        (1.0, VALUE_TIE_TOL, False),
+        (2 * VALUE_TIE_TOL, 1.0, True),
+        (1.0, 2 * VALUE_TIE_TOL, True),
+    ])
+    def test_a_gap_of_the_tolerance_is_a_tie(self, a_gap, b_gap, want):
+        values = np.array([[0.0, a_gap], [b_gap, 0.0]])
+        assert brute_inversions(values, 0, [1]).tolist() == [want]
+        assert sweeps_module._strict_inversions(values, 0, np.array([1])).tolist() == [want]
+
+    def test_uniqueness_levels_match_the_pairwise_reference(self):
+        cfg = {
+            "version": 1,
+            "states": 2,
+            "candidates": {
+                "eu_grid": {"states": 2, "prior_steps": 4, "knot_positions": [0.5], "value_steps": 8}
+            },
+            "schedule": [[1, 2], [2, 3]],
+        }
+        out = run_dense_uniqueness_check(cfg)
+        members = eu_grid(2, UNIT, 4, [0.5], 8)
+        want = {}
+        for level, (den, gc) in enumerate(cfg["schedule"]):
+            values = universe_values(members, build_sigma(2, UNIT, den, gc, k=1))
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    if (a, b) not in want and brute_inversions(values, a, [b])[0]:
+                        want[a, b] = level
+        assert [(a, b, want.get((a, b), -1)) for a, b, _ in out.csv_rows] == [tuple(r) for r in out.csv_rows]
+
+
 class TestBoundSweep:
     def test_rows_and_cells(self):
         cfg = {
