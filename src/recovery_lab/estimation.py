@@ -8,6 +8,12 @@ probability that a candidate ranking matches noisy choices, the
 separation gap that identifies the truth, a brute-force shattering search,
 and the finite-sample bound evaluator.  A list of utilities is valued over
 a point set by one ``wald_env.value_rows`` call, a single one by ``value_batch``.
+
+``erm_fit`` scores a linear or CES group of candidates by the sign of one
+matmul of their weights with the records' power-table differences, which
+decides each record the way the values would, outside a rounding band
+(``_sign_scores``); a candidate with a record inside the band is valued
+exactly, so every score equals ``score_from_values`` of the values.
 """
 
 from __future__ import annotations
@@ -19,7 +25,16 @@ import numpy as np
 
 from .errors import CombinatorialCapError, EmptyGridError, ShapeMismatchError
 from .noisy_choice import Dataset, NoiseModel, q_eval_batch
-from .wald_env import Domain, UtilityFamily, WaldUtility, lattice_points, value_rows
+from .wald_env import (
+    COBB_DOUGLAS,
+    LINEAR,
+    Domain,
+    UtilityFamily,
+    WaldUtility,
+    lattice_points,
+    power_table,
+    value_rows,
+)
 
 
 def score_from_values(chosen_values: np.ndarray, rejected_values: np.ndarray) -> float:
@@ -73,6 +88,11 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     passes with halved parameter steps around the incumbent.  Ties break
     toward the lexicographically smallest parameter vector, so the result
     is deterministic given the grid specification and the dataset.
+
+    Each level's candidates are scored by ``_scores``: a (kind, rho) group of
+    linear or CES members by the sign scorer, and the rest (Cobb-Douglas, and
+    members the sign cannot decide) by their values.  Every score equals
+    ``score_from_values`` of the member's ``value_rows``, bit for bit.
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -84,11 +104,9 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     best, best_score = members[0], -math.inf
     for level in range(refinements + 1):
         candidates = family.refine_around(best, level) if level else members
-        values = zip(value_rows(candidates, ds.chosen), value_rows(candidates, ds.rejected))
-        for cand, (chosen, rejected) in zip(candidates, values):
+        for cand, s in zip(candidates, _scores(candidates, ds)):
             if level and cand == best:
                 continue
-            s = score_from_values(chosen, rejected)
             scores.append(s)
             if s > best_score or (s == best_score and cand.param_tuple() < best.param_tuple()):
                 best, best_score = cand, s
@@ -99,6 +117,86 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
         "evaluated": len(scores),
     }
     return ErmResult(best, best_score, ds.n, ties, log)
+
+
+_SLAB_CELLS = 1 << 16  # member x record cells per sign matmul, which bounds its memory
+
+
+def _scores(candidates: list[WaldUtility], ds: Dataset) -> list[float]:
+    """``score_from_values`` of each candidate over ds, one (kind, rho) group at a time."""
+    groups: dict = {}
+    for i, u in enumerate(candidates):
+        groups.setdefault((u.kind, u.rho), []).append(i)
+    scores: list = [None] * len(candidates)
+    for (kind, rho), idx in groups.items():
+        members = [candidates[i] for i in idx]
+        if kind != COBB_DOUGLAS and ds.n:
+            for i, s in zip(idx, _sign_scores(kind, rho, members, ds)):
+                scores[i] = s
+        exact = [i for i in idx if scores[i] is None]
+        if exact:
+            us = [candidates[i] for i in exact]
+            for i, c, r in zip(exact, value_rows(us, ds.chosen), value_rows(us, ds.rejected)):
+                scores[i] = score_from_values(c, r)
+    return scores
+
+
+def _sign_scores(kind: str, rho: float | None, members: list[WaldUtility], ds: Dataset) -> list:
+    """Scores of one linear or CES group by the sign of ``g = W @ (p_c - p_r).T``,
+    taken over slabs of at most ``_SLAB_CELLS`` cells; None for a member that
+    only its values can score.
+
+    With p_c, p_r the records' power tables (``power_table``) and w a member's
+    weights, its values are v = f(s) of the dots s_c = p_c @ w, s_r = p_r @ w,
+    with f(s) = s for linear and s**(1/rho) for CES: increasing for rho > 0,
+    decreasing for rho < 0.  Outside a band, |g| > m, a record counts
+    (v_c >= v_r) exactly when g > 0, or g < 0 for rho < 0, where per record
+
+        m = K * d * eps * max_k(|p_c| + |p_r|) + floor,   K = 8 * max(1, |rho|).
+
+    Why that is exact.  Write M for the max above and u = eps / 2 for the unit
+    roundoff.  Each computed dot, in any summation order, is within d*u*M of
+    its exact value (w lies on the simplex), up to underflow errors below the
+    floor, and g is within (d + 1)*u*M of the exact s_c - s_r.  So |g| > m gives
+    the computed s_c - s_r the sign of g, with a gap above
+    6 * max(1, |rho|) * d * eps * M.  The smaller dot is at most M, so the larger
+    exceeds it by a factor above 1 + 6 * max(1, |rho|) * d * eps; the power
+    1/rho leaves a factor above 1 + 5 * d * eps between the two values, more
+    than two pow calls of under 2 ulps each can close.  A member with any
+    record inside its band goes to the exact path.
+
+    The floor is the smallest normal and, for rho > 0, the s below which
+    s**(1/rho) is under four times that, so a decided larger value is normal.
+    A group goes to the exact path whole when a record is worth zero (a zero
+    coordinate at rho < 0), or when a value might not be finite (the table's
+    ``top`` is inf) or, for rho < 0, might fall below four times the smallest
+    normal; ``value_rows`` then values it or raises.
+    """
+    n = ds.n
+    (p_c, pos_c, top_c), (p_r, pos_r, top_r) = (power_table(x, kind, rho) for x in (ds.chosen, ds.rejected))
+    if max(top_c, top_r) == np.inf or (pos_c is not None and not (pos_c.all() and pos_r.all())):
+        return [None] * len(members)
+    scale = np.max(np.abs(p_c) + np.abs(p_r), axis=1)
+    tiny = np.finfo(float).tiny
+    floor = tiny
+    if kind != LINEAR and rho > 0.0:
+        floor = max(tiny, (4.0 * tiny) ** rho)
+    elif kind != LINEAR:
+        with np.errstate(over="ignore"):
+            if (2.0 * scale.max()) ** (1.0 / rho) < 4.0 * tiny:
+                return [None] * len(members)
+    band = 8.0 * max(1.0, abs(rho or 0.0)) * p_c.shape[1] * np.finfo(float).eps * scale + floor
+    # the sign of g's rows turned for rho < 0, so that g > band reads "chosen is better"
+    diff = np.ascontiguousarray((p_r - p_c if kind != LINEAR and rho < 0.0 else p_c - p_r).T)
+    weights = np.array([u.weights for u in members])
+    out: list = []
+    step, below = max(1, _SLAB_CELLS // n), -band
+    for start in range(0, len(members), step):
+        g = weights[start : start + step] @ diff
+        wins = np.add.reduce(g > band, axis=1, dtype=np.int32)
+        outside = wins + np.add.reduce(g < below, axis=1, dtype=np.int32)
+        out += [float(k) / n if k_out == n else None for k, k_out in zip(wins, outside)]
+    return out
 
 
 def rho(u1: WaldUtility, u2: WaldUtility, grid: np.ndarray) -> float:

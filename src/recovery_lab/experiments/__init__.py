@@ -1,6 +1,9 @@
-"""Finite-experiment machinery, sweep runners, and the CLI harness."""
+"""Finite-experiment machinery, sweep runners, and the CLI harness.
 
-from .cli import cli_main
+The harness, ``cli.cli_main``, is not imported here, so ``python -m
+recovery_lab.experiments.cli`` runs it without a second copy of the module.
+"""
+
 from .prefgrids import eu_grid, grid_from_config, index_value_grid
 from .report import RunReport, SweepOutput, line_chart_svg, quantile_stats
 from .sigma import (
@@ -32,7 +35,6 @@ __all__ = [
     "SigmaSequence",
     "SweepOutput",
     "build_sigma",
-    "cli_main",
     "eu_grid",
     "generated_choices",
     "grid_from_config",

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._combinatorics import compositions
 from ._jsonio import count_field, number_field
-from .errors import RejectionCapError, ShapeMismatchError
+from .errors import NumericalGuardError, RejectionCapError, ShapeMismatchError
 
 LINEAR = "linear"
 CES = "ces"
@@ -218,34 +218,75 @@ class WaldUtility:
         return WaldUtility(d["kind"], weights, number_field(d, "rho", None))
 
 
+def power_table(x: np.ndarray, kind: str, rho: float | None) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The table ``p`` a (kind, rho) group values the rows of x through, ``pos``, and ``top``.
+
+    ``p`` is x**rho for CES and x itself for the other kinds.  For CES with
+    rho < 0 it covers only the rows with no zero coordinate, which ``pos``
+    marks; the others are worth zero.  ``pos`` is None when p covers every row.
+    Raises NumericalGuardError when the table is not finite (x**rho overflows
+    for a large negative rho near the origin); underflow stays silent.
+
+    ``top`` bounds |v| for every member's value v over the covered rows, or is
+    inf where a value might not be finite.  Each value is a mean (arithmetic,
+    power or geometric) of its row: a dot p @ w lies in [min p / d, max p] up
+    to rounding, as the weights lie on the simplex and one is at least 1/d.
+    ``top`` takes the value at 2 * max|p|, or at min p / (2 d) for rho < 0.
+    """
+    if kind != LINEAR and np.any(x < 0.0):
+        raise ValueError("ces/cobb_douglas utilities need nonnegative bundles")
+    pos = np.all(x > 0.0, axis=-1) if kind == CES and rho < 0.0 else None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = _finite(x if kind != CES else np.power(x if pos is None else x[pos], rho), kind, rho)
+        top = 2.0 * np.abs(p).max(initial=0.0)
+        if kind == CES and rho > 0.0:
+            top = top ** (1.0 / rho)
+        elif kind == CES:
+            lo = p.min(initial=np.inf) / (2 * p.shape[-1])
+            top = lo ** (1.0 / rho) if lo >= np.finfo(float).tiny else np.inf
+    return p, pos, float(top)
+
+
+def _finite(a: np.ndarray, kind: str, rho: float | None) -> np.ndarray:
+    if not np.isfinite(a).all():
+        at = "" if rho is None else f" at rho={rho!r}"
+        raise NumericalGuardError(f"{kind} utility values{at} are not finite on these bundles")
+    return a
+
+
+def _row(u: "WaldUtility", p: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
+    if u.kind == LINEAR:
+        return p @ u._w
+    if u.kind == COBB_DOUGLAS:
+        return np.prod(np.power(p, u._w), axis=-1)
+    if pos is None:
+        return np.power(p @ u._w, 1.0 / u.rho)
+    out = np.zeros(pos.shape)
+    out[pos] = np.power(p @ u._w, 1.0 / u.rho)
+    return out
+
+
 def value_rows(members, x: np.ndarray):
     """Yield each member's values over the rows of x, in member order.
 
-    x is raised to each distinct (kind, rho) once: x**rho for CES (for rho < 0
-    over the rows with no zero coordinate only, the others being worth zero),
-    else x.  Each member then takes its own ``p @ w``, so its row does not depend
-    on the list: a product across members would round some entries differently.
+    x is raised to each distinct (kind, rho) once, by ``power_table``.  Each
+    member then takes its own ``p @ w``, so its row does not depend on the
+    list: a product across members would round some entries differently.
+    Where the table's ``top`` is not finite, each row is computed with numpy's
+    warnings off and checked: one that is not finite raises NumericalGuardError.
     A generator, so callers hold one member's row at a time, never a whole table.
     """
     tables: dict = {}
     for u in members:
         if (key := (u.kind, u.rho)) not in tables:
-            if u.kind != LINEAR and np.any(x < 0.0):
-                raise ValueError("ces/cobb_douglas utilities need nonnegative bundles")
-            pos = np.all(x > 0.0, axis=-1) if u.kind == CES and u.rho < 0.0 else None
-            p = x if u.kind != CES else np.power(x if pos is None else x[pos], u.rho)
-            tables[key] = p, pos
-        p, pos = tables[key]
-        if u.kind == LINEAR:
-            yield p @ u._w
-        elif u.kind == COBB_DOUGLAS:
-            yield np.prod(np.power(p, u._w), axis=-1)
-        elif pos is None:
-            yield np.power(p @ u._w, 1.0 / u.rho)
-        else:
-            out = np.zeros(pos.shape)
-            out[pos] = np.power(p @ u._w, 1.0 / u.rho)
-            yield out
+            tables[key] = power_table(x, u.kind, u.rho)
+        p, pos, top = tables[key]
+        if top < np.inf:
+            yield _row(u, p, pos)
+            continue
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            row = _row(u, p, pos)
+        yield _finite(row, u.kind, u.rho)
 
 
 @dataclass(frozen=True)

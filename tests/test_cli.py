@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -92,6 +93,21 @@ class TestConfigHandling:
         }
         path = write_cfg(tmp_path, "r.json", cfg)
         assert cli_main(["recovery", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+    # CES at a large negative rho overflows x**rho near the origin: at -400 on
+    # the eval lattice (once a NaN traceback), at -200 on sampled points (once
+    # numpy warnings and exit 0)
+    @pytest.mark.parametrize("rho_grid", [[-400, 2], [-200, 2]])
+    def test_overflowing_power_is_one_guard_line(self, tmp_path, capsys, rho_grid):
+        family = {"ces": {"rho_grid": rho_grid, "weight_steps": 4}}
+        path = write_cfg(tmp_path, "s.json", {**CLI_CONFIGS["separation"], "family": family})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning escapes as an exception
+            assert cli_main(["separation", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical guard: ces utility values at rho={rho_grid[0]} are not finite on these bundles\n"
+        assert not out.exists()
 
 
 class TestOutputs:
@@ -689,6 +705,15 @@ class TestUsageContract:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "0"
+
+    def test_python_m_config_error_is_one_line(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[2])
+        argv = [sys.executable, "-m", "recovery_lab.experiments.cli", "bound",
+                "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error:") and len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stdout == "" and not (tmp_path / "o").exists()
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         assert cli_main(["--help"]) == 0

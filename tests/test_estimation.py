@@ -1,14 +1,22 @@
 """ERM search, separation estimates, shattering search, and the bound."""
 
 import math
+import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recovery_lab.errors import CombinatorialCapError, EmptyGridError, ShapeMismatchError
+from recovery_lab import estimation
+from recovery_lab.errors import (
+    CombinatorialCapError,
+    EmptyGridError,
+    NumericalGuardError,
+    ShapeMismatchError,
+)
 from recovery_lab.estimation import (
     BoundParams,
     ErmResult,
@@ -235,6 +243,47 @@ class TestValueRows:
         with pytest.raises(ValueError, match="nonnegative"):
             members[1].value_batch(x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=value_row_cases(),
+        decades=st.sampled_from([300.0, 30.0]),
+        rho=st.sampled_from([-60.0, 60.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extreme_bundles_give_the_reference_or_a_guard(self, case, decades, rho, seed):
+        # magnitudes up to 1e+-300 and rhos up to +-60: a row is finite and the
+        # reference's, or the call raises the guard; numpy never warns
+        members, x = case
+        members.append(WaldUtility("ces", members[0].weights, rho))
+        x = x * 10.0 ** np.random.default_rng(seed).uniform(-decades, decades, x.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = list(value_rows(members, x))
+            except NumericalGuardError:
+                return
+        for u, row in zip(members, rows):
+            with np.errstate(all="ignore"):
+                assert np.array_equal(row, reference_values(u, x))
+            assert np.all(np.isfinite(row))
+
+    @pytest.mark.parametrize(
+        "rho, x",
+        [
+            (-400.0, [[0.0625, 0.5]]),  # x**rho overflows: the table is not finite
+            (-2.0, [[1e300, 1e300]]),  # x**rho underflows to 0, so 0**(1/rho) is inf
+        ],
+    )
+    def test_non_finite_values_are_a_guard(self, rho, x):
+        u = WaldUtility("ces", (0.5, 0.5), rho)
+        x = np.array([[0.5, 0.25], *x])
+        with pytest.raises(NumericalGuardError, match=f"rho={rho}"):
+            u.value_batch(x)
+        # erm_fit raises it too, whether the table or a value is not finite
+        ds = Dataset(x, x[::-1], {"n": 2})
+        with pytest.raises(NumericalGuardError, match=f"rho={rho}"):
+            erm_fit(UtilityFamily("ces", BoxDomain((0.0, 0.0), (1e300, 1e300)), 2, (rho,)), ds)
+
 
 @st.composite
 def erm_cases(draw):
@@ -265,6 +314,66 @@ class TestErmMatchesPerMemberLoop:
         family, ds, refinements = case
         got = erm_fit(family, ds, refinements)
         assert got.to_dict() == reference_erm_fit(family, ds, refinements).to_dict()
+
+
+@st.composite
+def sign_scorer_cases(draw):
+    """Linear or CES families with rhos of +-0.05 and +-20, records whose
+    magnitudes reach 1e+-150 (less for |rho| = 20, so every power stays
+    finite), swapped-coordinate exact ties, near ties a few ulps apart,
+    zeros, and a slab size small enough that one (kind, rho) group spans
+    several sign matmuls."""
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["linear", "ces"]))
+    rhos = ()
+    if kind == "ces":
+        rhos = tuple(draw(st.lists(st.sampled_from([-20.0, -0.05, 0.05, 20.0]), min_size=1, max_size=3)))
+    family = UtilityFamily(kind, BoxDomain.unit(d), draw(st.integers(d, 5)), rhos)
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = min(150.0, 250.0 / max(map(abs, rhos), default=1.0))
+    shape = draw(st.sampled_from([(1, 1, 1), (2, n, 1), (2, n, d)]))  # one scale, per record or per coordinate
+    x = rng.uniform(0.5, 1.0, (2, n, d)) * 10.0 ** rng.uniform(-top, top, shape)
+    tied = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[1, tied] = x[0, tied][:, ::-1]  # the chosen bundle with its coordinates swapped
+    near = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3]))
+    ulps = rng.integers(-3, 4, (int(near.sum()), 1)) * np.finfo(float).eps
+    x[1, near] = x[0, near] * (1.0 + ulps)  # the chosen bundle scaled by a few ulps
+    x[rng.uniform(size=x.shape) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    return family, Dataset(x[0], x[1], {"n": n}), draw(st.integers(0, 2)), draw(st.sampled_from([1, 7, 64]))
+
+
+class TestSignScorer:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sign_scorer_cases())
+    def test_same_result_as_reference(self, case):
+        family, ds, refinements, cells = case
+        with np.errstate(all="ignore"):
+            values = [reference_values(u, x) for u in family.members() for x in (ds.chosen, ds.rejected)]
+        assume(all(np.all(np.isfinite(v)) for v in values))
+        with mock.patch.object(estimation, "_SLAB_CELLS", cells):
+            got = erm_fit(family, ds, refinements)
+        assert got.to_dict() == reference_erm_fit(family, ds, refinements).to_dict()
+
+
+class TestErmWork:
+    # perfbench's gen-fit op: 5,000 box records, fitted on 1,300 CES members
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_sign_scorer_decides_every_candidate(self, seed):
+        box = BoxDomain.unit(3)
+        truth = WaldUtility("ces", (0.25, 0.25, 0.5), 0.5)
+        ds = generate_dataset(box, truth, ConstantFlip(0.75), 5000, seed)
+        family = UtilityFamily("ces", box, 24, (0.5, 1.0, 2.0, 4.0))
+        calls = []
+
+        def counted(members, x):
+            calls.append(len(members))
+            return value_rows(members, x)
+
+        with mock.patch.object(estimation, "value_rows", counted):
+            got = erm_fit(family, ds)
+        assert calls == []
+        assert got.to_dict() == reference_erm_fit(family, ds).to_dict()
 
 
 class TestRho:
