@@ -4,17 +4,18 @@ An act assigns one lottery per state of the world.  Preferences over acts
 are represented by a piecewise-linear utility-of-money index u (normalized
 u(a) = 0, u(b) = 1) composed with an aggregator over statewise expected
 utilities: expected utility with a single prior, max-min over a prior set,
-or a variational form penalizing priors through a grounded cost.  Act values
-take two batched steps, ``eu_table`` then ``aggregate``; scalar calls are
-batches of one.  The same machinery supplies certainty equivalents and the
-sup-distances between representations used by the convergence experiments.
+or a variational form penalizing priors through a grounded cost: each a
+prior set with costs.  Act values take two batched steps, ``eu_table`` then
+``prior_set_values``; scalar calls are batches of one.  The same machinery
+supplies certainty equivalents and the sup-distances between representations
+used by the convergence experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -187,14 +188,6 @@ class CostFunction:
         """Zero on the given priors: the max-min case written variationally."""
         return CostFunction(tuple(priors), (0.0,) * len(priors))
 
-    @cached_property
-    def _prior_matrix(self) -> np.ndarray:
-        return np.stack([p.as_array for p, c in zip(self.priors, self.costs) if math.isfinite(c)])
-
-    @cached_property
-    def _finite_costs(self) -> np.ndarray:
-        return np.asarray([c for c in self.costs if math.isfinite(c)], dtype=float)
-
 
 EU = "eu"
 MAXMIN = "maxmin"
@@ -243,6 +236,15 @@ class AAPreference:
 
     def value(self, f: Act) -> float:
         return act_value(self, f)
+
+    @cached_property
+    def prior_set(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, c): the priors (K, S) and grounded costs (K,) that the value
+        minimizes over.  EU is one prior at cost 0, max-min has zero costs."""
+        if self.kind == VARIATIONAL:
+            return np.array([p.weights for p in self.cost.priors]), np.array(self.cost.costs)
+        priors = self.priors if self.kind == MAXMIN else (self.prior,)
+        return np.array([p.weights for p in priors]), np.zeros(len(priors))
 
     def to_dict(self) -> dict:
         out = {
@@ -313,22 +315,30 @@ def eu_table(indices, lotteries) -> np.ndarray:
     return table
 
 
-def aggregate(pref: AAPreference, z) -> np.ndarray:
-    """Aggregate rows of statewise utilities, shape (..., S), into values (...).
+def prior_set_values(terms, c) -> np.ndarray:
+    """The least over prior slots k (axis 0) of ``sum_s terms_s[k] + c[k]``, where
+    ``terms`` yields state by state each slot's weight times the state's utilities:
+    fresh arrays that the sum overwrites.  Summed in state order, this is multiplying
+    then adding, so no value depends on its batch.  An infinite cost leaves its slot
+    out; zero costs add nothing."""
+    terms = iter(terms)
+    acc = next(terms)
+    for term in terms:
+        acc += term
+    if np.count_nonzero(c):
+        acc += c
+    return acc[0] if len(acc) == 1 else np.minimum.reduce(acc)
 
-    Each row takes the BLAS routine a lone vector takes, a dot with each prior
-    or one matrix-vector product with the cost grid: stacked matmul on
-    contiguous rows calls it once per row, so no row depends on its batch.
-    """
-    z, n = np.ascontiguousarray(z, dtype=float), pref.states.n_states
+
+def aggregate(pref: AAPreference, z) -> np.ndarray:
+    """Aggregate rows of statewise utilities, shape (..., S), into values (...),
+    through ``prior_set_values`` over the preference's prior set."""
+    z, n = np.asarray(z, dtype=float), pref.states.n_states
     if z.shape[-1:] != (n,):
         raise ShapeMismatchError(f"expected {n} statewise utilities, got shape {z.shape}")
-    if pref.kind == VARIATIONAL:
-        cost = pref.cost
-        return np.min(np.matmul(cost._prior_matrix, z[..., None])[..., 0] + cost._finite_costs, -1)
-    priors = pref.priors if pref.kind == MAXMIN else (pref.prior,)
-    return reduce(np.minimum, (np.matmul(z[..., None, :], p.as_array[:, None])[..., 0, 0]
-                               for p in priors))
+    (q, c), lead = pref.prior_set, (1,) * (z.ndim - 1)
+    # .T leads with the states, then the slots, and reverses the rest; .T turns them back
+    return prior_set_values((z[..., None, :] * q).T, c.reshape(len(c), *lead)).T
 
 
 def expected_utility(u: BernoulliIndex, p: Lottery) -> float:
@@ -345,8 +355,6 @@ def aggregator_eval(pref: AAPreference, z) -> float:
 
 def act_value(pref: AAPreference, f: Act) -> float:
     """Aggregator applied to the statewise expected utilities of the act."""
-    if f.n_states != pref.states.n_states:
-        raise ShapeMismatchError("act and preference disagree on the state count")
     return float(aggregate(pref, eu_table([pref.index], f.per_state)[0]))
 
 
@@ -426,15 +434,11 @@ def rep_distance(pref1: AAPreference, pref2: AAPreference, grid: list[Act]) -> t
     n = pref1.states.n_states
     if pref2.states.n_states != n or any(f.n_states != n for f in grid):
         raise ShapeMismatchError("preferences and acts disagree on the state count")
-    du = index_distance(pref1.index, pref2.index)
-    # one table row per preference over the grid's distinct lotteries, keyed
-    # by id(): the acts share lottery objects, and hashing a Lottery is slow
-    lots = {id(lot): lot for f in grid for lot in f.per_state}
-    col = {key: c for c, key in enumerate(lots)}
-    at = np.array([[col[id(lot)] for lot in f.per_state] for f in grid])
-    table = eu_table([pref1.index, pref2.index], list(lots.values()))
-    v1, v2 = (aggregate(p, row[at]) for p, row in zip((pref1, pref2), table))
-    return float(np.max(np.abs(v1 - v2))), du
+    # one table row per preference over the grid's distinct lotteries
+    col = {lot: c for c, lot in enumerate(dict.fromkeys(lot for f in grid for lot in f.per_state))}
+    z = eu_table([pref1.index, pref2.index], list(col))[:, [[col[lot] for lot in f.per_state] for f in grid]]
+    dv = np.max(np.abs(aggregate(pref1, z[0]) - aggregate(pref2, z[1])))
+    return float(dv), index_distance(pref1.index, pref2.index)
 
 
 def aggregator_distance(pref1: AAPreference, pref2: AAPreference, z_steps: int = 8) -> float:

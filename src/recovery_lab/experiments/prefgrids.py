@@ -8,7 +8,8 @@ from itertools import combinations
 import numpy as np
 
 from .._jsonio import count_field, number_field
-from ..aa_prefs import EU, AAPreference, BernoulliIndex, Prior, StateSpace, simplex_grid
+from ..aa_prefs import EU, AAPreference, BernoulliIndex, CostFunction, Prior, StateSpace, simplex_grid
+from ..errors import ShapeMismatchError
 from ..lotteries import Interval
 
 
@@ -29,30 +30,54 @@ def index_value_grid(
     return [BernoulliIndex(interval, knots, (0.0, *combo, 1.0)) for combo in combos]
 
 
-class EUGrid(Sequence):
-    """Expected-utility candidates held as read-only arrays: member r has the
-    index ``indices[index_of[r]]`` (one of the U distinct ones), the prior
-    ``priors[r]`` and the shared ``states``.  ``grid[r]`` builds its
-    ``AAPreference`` on demand; a slice or an array of positions is a sub-grid.
-    """
+class PrefGrid(Sequence):
+    """Candidates as read-only arrays: member r has the index ``indices[index_of[r]]``
+    (one of the U distinct ones), the prior set ``priors[r]`` (K, S) with grounded
+    costs ``costs[r]`` (K,), padded by slots at cost inf, and the shared ``states``.
+    ``grid[r]`` builds a preference with member r's values on demand (EU for one
+    prior at cost 0); a slice or an array of positions is a sub-grid."""
 
-    def __init__(self, indices, index_of: np.ndarray, priors: np.ndarray, states: StateSpace):
-        self.indices, self.index_of, self.priors, self.states = tuple(indices), index_of, priors, states
-        index_of.flags.writeable = priors.flags.writeable = False
+    def __init__(self, indices, index_of, priors, costs, states: StateSpace):
+        self.indices, self.index_of, self.priors, self.costs = tuple(indices), index_of, priors, costs
+        self.states = states
+        index_of.flags.writeable = priors.flags.writeable = costs.flags.writeable = False
+
+    @classmethod
+    def of(cls, prefs, states: int) -> "PrefGrid":
+        """``prefs`` as a grid over ``states`` states: a ``PrefGrid`` as it is, a
+        list packed once (indices told apart by ``id()``: hashing one is slow).
+        A preference over another state count raises ``ShapeMismatchError``."""
+        got = {prefs.states.n_states} if isinstance(prefs, PrefGrid) else {p.states.n_states for p in prefs}
+        if got - {states}:
+            raise ShapeMismatchError(f"preferences over {sorted(got)} states, acts over {states}")
+        if isinstance(prefs, PrefGrid):
+            return prefs
+        indices = {id(p.index): p.index for p in prefs}
+        row_of = {key: r for r, key in enumerate(indices)}
+        width = max((len(p.prior_set[1]) for p in prefs), default=1)
+        priors, costs = np.zeros((len(prefs), width, states)), np.full((len(prefs), width), np.inf)
+        for r, p in enumerate(prefs):
+            priors[r, : len(p.prior_set[1])], costs[r, : len(p.prior_set[1])] = p.prior_set
+        index_of = np.array([row_of[id(p.index)] for p in prefs], int)
+        return cls(indices.values(), index_of, priors, costs, StateSpace(states))
 
     def __len__(self) -> int:
         return len(self.index_of)
 
     def __getitem__(self, r):
         if isinstance(r, (slice, np.ndarray)):
-            return EUGrid(self.indices, self.index_of[r], self.priors[r], self.states)
+            return PrefGrid(self.indices, self.index_of[r], self.priors[r], self.costs[r], self.states)
         r = range(len(self))[r]  # an IndexError ends iteration
-        prior = Prior(tuple(self.priors[r].tolist()))
-        return AAPreference(EU, self.indices[self.index_of[r]], self.states, prior=prior)
+        used = np.isfinite(self.costs[r])
+        index, costs = self.indices[self.index_of[r]], self.costs[r][used]
+        priors = tuple(Prior(tuple(w)) for w in self.priors[r][used].tolist())
+        if len(costs) == 1 and not costs.any():
+            return AAPreference(EU, index, self.states, prior=priors[0])
+        return AAPreference.variational(index, CostFunction(priors, tuple(costs.tolist())))
 
 
 def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: list[float],
-            value_steps: int) -> EUGrid:
+            value_steps: int) -> PrefGrid:
     """Expected-utility candidates: prior lattice x index-value lattice.
 
     Priors are ``simplex_grid(states, prior_steps)`` (one state: the trivial
@@ -61,11 +86,12 @@ def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: l
     """
     indices = index_value_grid(interval, knot_positions, value_steps)
     priors = np.array([p.weights for p in simplex_grid(states, prior_steps)])
-    return EUGrid(indices, np.tile(np.arange(len(indices)), len(priors)),
-                  np.repeat(priors, len(indices), axis=0), StateSpace(states))
+    return PrefGrid(indices, np.tile(np.arange(len(indices)), len(priors)),
+                    np.repeat(priors, len(indices), axis=0)[:, None],
+                    np.zeros((len(priors) * len(indices), 1)), StateSpace(states))
 
 
-def grid_from_config(cfg: dict, interval: Interval) -> EUGrid:
+def grid_from_config(cfg: dict, interval: Interval) -> PrefGrid:
     """Build a candidate grid from its JSON descriptor."""
     if "eu_grid" in cfg:
         g = cfg["eu_grid"]

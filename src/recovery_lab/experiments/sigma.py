@@ -18,15 +18,15 @@ import numpy as np
 
 # act_value and expected_utility are not called here, but perfbench's traced
 # run patches them on this module, so the names stay bound
-from ..aa_prefs import EU, AAPreference, Act, act_value, aggregate, eu_table, expected_utility  # noqa: F401
+from ..aa_prefs import AAPreference, Act, act_value, eu_table, expected_utility, prior_set_values  # noqa: F401
 from ..errors import EnumerationCapError, ShapeMismatchError
 from ..lotteries import Interval, Lottery, enumerate_rational_lotteries
-from .prefgrids import EUGrid
+from .prefgrids import PrefGrid
 
 #: Two act values within this tolerance count as indifferent.
 VALUE_TIE_TOL = 1e-12
 
-_GATHER_CELLS = 1 << 19  # most doubles live in one slab of universe_values' EU sum
+_GATHER_CELLS = 1 << 19  # most doubles live in one slab of universe_values' state sum
 
 
 def diagonal_pairs(m: int, k: int) -> np.ndarray:
@@ -114,55 +114,31 @@ def build_sigma(
 
 def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
     """Value of the universe acts at positions ``acts`` (default: all of them)
-    under every preference of an ``EUGrid`` or a list, shape (P, len(acts)).
-    A preference over another number of states raises ``ShapeMismatchError``.
-
-    Every kind reads one ``eu_table`` of the distinct indices its rows use (a
-    list's told apart by ``id()``: hashing an index is slow) against the base
-    lotteries those acts use.  Max-min and variational rows go through
-    ``aggregate``, bit for bit each act's ``act_value``.  Expected-utility rows
-    gather ``table[index_of]`` and sum prior-weighted states in state order,
-    multiplying then adding, one slab of rows at a time.  So no entry depends on
-    the preferences or acts batched with it, which callers valuing a few acts or
-    rows apart rely on.  That sum and ``act_value``'s BLAS dot differ in the
-    last bit on some entries (by at most 1.1e-16), and recorded outputs pin each
-    (recovery's and theorem2's).  On an x86-64 Xeon with numpy 2.4, a dot of
-    fewer than 16 terms is an in-order fma chain; numpy has no fma ufunc, so
-    this sum does not emulate one.
-    """
-    states = {prefs.states.n_states} if isinstance(prefs, EUGrid) else {p.states.n_states for p in prefs}
-    if states - {sigma.states}:
-        raise ShapeMismatchError(f"preferences over {sorted(states)} states, acts over {sigma.states}")
-    act_idx = sigma.act_indices
-    if acts is not None:
-        act_idx = act_idx[np.asarray(acts, dtype=int)]
+    under every preference of a ``PrefGrid`` or a list (packed into one once),
+    shape (P, len(acts)); a preference over another state count raises
+    ``ShapeMismatchError``.  One ``eu_table`` of the indices the rows use over the
+    base lotteries those acts use, gathered per state for every prior slot of a slab
+    of rows, feeds ``prior_set_values``.  So every entry is its act's ``act_value``,
+    bit for bit, whatever it is batched with: callers value acts or rows apart."""
+    grid = PrefGrid.of(prefs, sigma.states)
+    act_idx = sigma.act_indices if acts is None else sigma.act_indices[np.asarray(acts, dtype=int)]
     lots = np.unique(act_idx)
     act_idx = np.searchsorted(lots, act_idx)  # columns of the table below
-    if isinstance(prefs, EUGrid):
-        indices, index_of, priors = prefs.indices, prefs.index_of, prefs.priors
-        eu, others = np.arange(len(prefs)), []  # the expected-utility rows, and the rest
-    else:  # packed into the grid's arrays once
-        indices = list({id(p.index): p.index for p in prefs}.values())
-        row_of = {id(u): r for r, u in enumerate(indices)}
-        index_of = np.array([row_of[id(p.index)] for p in prefs], int)
-        eu = np.array([r for r, p in enumerate(prefs) if p.kind == EU], int)
-        others = [r for r, p in enumerate(prefs) if p.kind != EU]
-        priors = np.array([prefs[r].prior.weights for r in eu])
-    used, index_of = np.unique(index_of, return_inverse=True)
-    table = eu_table([indices[u] for u in used], [sigma.base_lotteries[i] for i in lots])
-    out = np.empty((len(prefs), len(act_idx)))
-    for r in others:
-        out[r] = aggregate(prefs[r], table[index_of[r]][act_idx])
-    step = max(1, _GATHER_CELLS // max(2 * len(act_idx), 1))  # acc and one term live per slab
-    for start in range(0, len(eu), step):
-        rows = eu[start : start + step]  # a slab of EU rows over every act
-        acc = table[:, act_idx[:, 0]][index_of[rows]]
-        acc *= priors[start : start + step, :1]
-        for s in range(1, act_idx.shape[1]):
-            term = table[:, act_idx[:, s]][index_of[rows]]
-            term *= priors[start : start + step, s : s + 1]
-            acc += term
-        out[rows] = acc
+    used, index_of = np.unique(grid.index_of, return_inverse=True)
+    table = eu_table([grid.indices[u] for u in used], [sigma.base_lotteries[i] for i in lots])
+    (p, k), a = grid.costs.shape, len(act_idx)
+    out = np.empty((p, a))
+    step = max(1, _GATHER_CELLS // max(2 * k * a, 1))  # acc and one term live per slab
+    for start in range(0, p, step):
+        rows = slice(start, start + step)
+        q = grid.priors[rows].T[..., None]  # (S, K, rows, 1)
+        slots = np.tile(index_of[rows], k)  # slot-major: slot 0 of every row, then slot 1
+        def terms():
+            for s in range(len(q)):
+                term = table[:, act_idx[:, s]][slots].reshape(q.shape[1:3] + (a,))
+                term *= q[s]
+                yield term
+        out[rows] = prior_set_values(terms(), grid.costs[rows].T[..., None])
     return out
 
 

@@ -25,7 +25,6 @@ from ..aa_prefs import (
     aggregator_distance,
     ce_act,
     index_distance,
-    rep_distance,
     simplex_grid,
 )
 from ..estimation import (
@@ -69,7 +68,7 @@ from .config import (
     read_fields,
     truncation,
 )
-from .prefgrids import EUGrid, grid_from_config
+from .prefgrids import PrefGrid, grid_from_config
 from .report import STANDARD_NOTES, RunReport, SweepOutput, quantile_stats
 from .sigma import _GATHER_CELLS, VALUE_TIE_TOL, build_sigma, choice_codes, universe_values
 
@@ -108,7 +107,7 @@ def _fit_domain(spec, got):
     return domain_from_dict(spec)
 
 
-def _candidates(spec, got) -> EUGrid:
+def _candidates(spec, got) -> PrefGrid:
     grid = grid_from_config(spec, got.interval)
     if not grid:
         raise ValueError("the grid is empty")
@@ -426,28 +425,22 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
     f = read_fields(cfg, THEOREM2_FIELDS)
     kinds = KINDS if f.kind == "all" else [f.kind]
     k_max, (den, gc), z_steps = f.k_max, f.act_truncation, f.z_steps
-    grid = list(build_sigma(2, UNIT, den, gc, k=1).universe)
-    csv_rows = []
-    cells = []
-    series = {}
+    sig = build_sigma(2, UNIT, den, gc, k=1)
+    csv_rows, cells, series, ks = [], [], {}, [float(k) for k in range(k_max + 1)]
     for kind in kinds:
         pref_at = _sequence_family(kind)
-        target = pref_at(0.0)
-        dus, dvs, dhs = [], [], []
-        for k in range(k_max + 1):
-            pref_k = pref_at(2.0**-k)
-            dv, du = rep_distance(pref_k, target, grid)
-            dh = aggregator_distance(pref_k, target, z_steps)
+        target, prefs = pref_at(0.0), [pref_at(2.0**-k) for k in range(k_max + 1)]
+        values = universe_values([*prefs, target], sig)  # each row as it would be alone
+        dvs = np.max(np.abs(values[:-1] - values[-1]), axis=1).tolist()
+        dus = [index_distance(p.index, target.index) for p in prefs]
+        dhs = [aggregator_distance(p, target, z_steps) for p in prefs]
+        for k, (du, dv, dh) in enumerate(zip(dus, dvs, dhs)):
             csv_rows.append([kind, k, du, dv, dh])
             cells.append({"cell": f"{kind}:{k:02d}", "du": du, "dv": dv, "dh": dh})
-            dus.append(du), dvs.append(dv), dhs.append(dh)
-        ks = [float(k) for k in range(k_max + 1)]
-        series[f"{kind} du"] = (ks, dus)
-        series[f"{kind} dv"] = (ks, dvs)
-        series[f"{kind} dh"] = (ks, dhs)
+        series.update({f"{kind} du": (ks, dus), f"{kind} dv": (ks, dvs), f"{kind} dh": (ks, dhs)})
     notes = [
         "parameter sequences approach the target geometrically (ratio 1/2)",
-        f"dv evaluated on the {len(grid)}-act universe; dh on the "
+        f"dv evaluated on the {sig.universe_size}-act universe; dh on the "
         f"{{0..1}}^S lattice with step 1/{z_steps}",
     ]
     return _output("theorem2", cfg, {}, notes, cells, "kind,k,du,dv,dh", csv_rows, series=series,

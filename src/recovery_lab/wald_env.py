@@ -89,8 +89,8 @@ class ConeDomain:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if not (0.0 < self.alpha and 0.0 < self.M):
-            raise ValueError("alpha and M must be positive")
+        if not (0.0 < self.alpha and 0.0 < self.M < np.sqrt(np.finfo(float).max / self.d)):
+            raise ValueError("alpha and M must be positive, and d * M**2 finite")
         if self.alpha * np.sqrt(self.d) >= self.M:
             raise ValueError("need alpha * sqrt(d) < M for a nonempty domain")
 

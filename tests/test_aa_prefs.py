@@ -405,14 +405,22 @@ def loop_eu_table(indices, lotteries):
 
 
 def loop_aggregator_eval(pref, z):
-    z = np.asarray(z, dtype=float)
+    """Each prior's states summed in state order, multiplying then adding, in
+    plain Python floats, plus its cost; the least over the finite-cost priors."""
+    z = [float(x) for x in z]
     if pref.kind == "eu":
-        return float(np.dot(pref.prior.as_array, z))
-    if pref.kind == "maxmin":
-        return float(min(np.dot(p.as_array, z) for p in pref.priors))
-    finite = [(p.as_array, c) for p, c in zip(pref.cost.priors, pref.cost.costs) if math.isfinite(c)]
-    matrix = np.stack([p for p, _ in finite])
-    return float(np.min(matrix @ z + np.array([c for _, c in finite])))
+        sets = [(pref.prior.weights, 0.0)]
+    elif pref.kind == "maxmin":
+        sets = [(p.weights, 0.0) for p in pref.priors]
+    else:
+        sets = [(p.weights, c) for p, c in zip(pref.cost.priors, pref.cost.costs) if math.isfinite(c)]
+    values = []
+    for w, c in sets:
+        acc = w[0] * z[0]
+        for s in range(1, len(z)):
+            acc += w[s] * z[s]
+        values.append(acc + c)
+    return min(values)
 
 
 def loop_act_value(pref, f):

@@ -500,6 +500,8 @@ BAD_CONFIGS = [
     ("consistency", {"delta": 0}, "delta"),
     ("consistency", {"exponent_d": 0}, "exponent_d"),
     ("consistency", {"domain": {"cone": {"alpha": 0.1, "d": 2}}}, "domain"),
+    # d * M**2 overflows: the norm of a sampled bundle would not be finite
+    ("consistency", {"domain": {"cone": {"alpha": 0.1, "M": 1e300, "d": 2}}}, "domain"),
     ("consistency", {"true_preference": {"kind": "x", "weights": [0.5, 0.5]}}, "true_preference"),
     ("consistency", {"eval_steps": 0}, "eval_steps"),
     ("vc", {"k": 0}, "k"),

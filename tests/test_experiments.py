@@ -35,7 +35,7 @@ from recovery_lab.experiments import (
 )
 from recovery_lab.experiments import sigma as sigma_module
 from recovery_lab.experiments import sweeps as sweeps_module
-from recovery_lab.experiments.prefgrids import EUGrid, index_value_grid
+from recovery_lab.experiments.prefgrids import PrefGrid, index_value_grid
 from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pairs
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
@@ -146,7 +146,7 @@ class TestSigma:
         prefs = eu_grid(2, UNIT, 4, [0.5], 4)[:10]
         fast = universe_values(prefs, sig)
         slow = np.array([[act_value(p, a) for a in sig.universe] for p in prefs])
-        assert np.allclose(fast, slow, atol=1e-12)
+        assert np.array_equal(fast, slow)
 
 
 def reference_universe_values(prefs, sig):
@@ -232,15 +232,16 @@ class TestEuTable:
 
     @pytest.mark.parametrize("states", [1, 2, 3, 4])
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["maxmin", "variational"]),
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["eu", "maxmin", "variational"]),
            level=st.sampled_from([(1, 2), (2, 2), (1, 3)]))
     def test_other_kinds_rows_are_each_acts_value(self, states, seed, kind, level):
+        # every row, the grid member's included, is each act's act_value
         rng = np.random.default_rng(seed)
         prefs = [kernel_pref(rng, kind, states, True) for _ in range(3)]
         prefs.insert(1, eu_grid(states, UNIT, 2, [0.5], 4)[0])
         sig = build_sigma(states, UNIT, *level, k=1)
         values = universe_values(prefs, sig)
-        for r in (0, 2, 3):
+        for r in range(4):
             want = [loop_act_value(prefs[r], f) for f in sig.universe]
             assert np.array_equal(values[r], want)
             assert np.array_equal(values[r], [act_value(prefs[r], f) for f in sig.universe])
@@ -283,7 +284,7 @@ class TestEuTable:
             universe_values([AAPreference.eu(IDENT, Prior((1.0,))), prefs[0]], one_state)
 
 
-class TestEUGrid:
+class TestPrefGrid:
     @settings(max_examples=25, deadline=None)
     @given(states=st.integers(1, 4), prior_steps=st.integers(1, 4), value_steps=st.integers(3, 7),
            knots=st.sampled_from([[0.5], [0.3, 0.7], [0.2, 0.45, 0.8]]),
@@ -313,11 +314,32 @@ class TestEUGrid:
                for u in index_value_grid(UNIT, knots, value_steps)]
         assert len(grid) == len(old) and list(grid) == old
         assert [grid[r] for r in (0, -1, len(old) // 2)] == [old[0], old[-1], old[len(old) // 2]]
-        assert isinstance(grid[2:5], EUGrid) and list(grid[2:5]) == old[2:5]
+        assert isinstance(grid[2:5], PrefGrid) and list(grid[2:5]) == old[2:5]
         assert list(grid[np.array([4, 0, 4])]) == [old[4], old[0], old[4]]
         with pytest.raises(IndexError):
             grid[len(old)]
         assert not grid.index_of.flags.writeable and not grid.priors.flags.writeable
+        assert not grid.costs.flags.writeable
+
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["eu", "maxmin", "variational"]), min_size=1, max_size=5))
+    def test_a_packed_list_keeps_each_members_values(self, states, seed, kinds):
+        # members of every kind share one grid: fewer priors are padded by
+        # slots at cost inf, and a member rebuilt from the arrays values alike
+        rng = np.random.default_rng(seed)
+        prefs = [kernel_pref(rng, kind, states, True) for kind in kinds]
+        grid = PrefGrid.of(prefs, states)
+        width = max(len(p.prior_set[1]) for p in prefs)
+        assert grid.priors.shape == (len(prefs), width, states) and grid.costs.shape == (len(prefs), width)
+        assert [np.isinf(c).sum() for c in grid.costs] == [
+            width - len(p.prior_set[1]) + np.isinf(p.prior_set[1]).sum() for p in prefs]
+        assert PrefGrid.of(grid, states) is grid
+        sig = build_sigma(states, UNIT, 1, 3, k=1)
+        want = np.array([[act_value(p, f) for f in sig.universe] for p in prefs])
+        for got in (universe_values(prefs, sig), universe_values(grid, sig), universe_values(list(grid), sig)):
+            assert np.array_equal(got, want)
 
     def test_the_recovery_benchmark_grid_builds_each_index_once_and_no_member(self, monkeypatch):
         made = {BernoulliIndex: 0, AAPreference: 0}

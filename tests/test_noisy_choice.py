@@ -523,8 +523,8 @@ GOLDEN = {
     ("separation", "report.json"): "95a3ac1a8242dfb29c0ee63c6793c9c789fb48fbddfaeb7143899753a7bb8732",
     ("separation", "separation.csv"): "a1974ecc4c96dac5e484afca96b176621128c6cf8712aeb78c25eefe6fd7593a",
     ("separation", "separation.svg"): "99f4eea448fe73345778ee9766a9be0937b66e6e03252589dd84e59a65e43da5",
-    ("theorem2", "report.json"): "f140b7c22fadc669efa96c1e367e00a7f80b9826feb532f6f62f26e0b7e16db6",
-    ("theorem2", "theorem2.csv"): "1dd224eaf2031ff2cb972a8ef797c8e56deb9e0404b13e55deca80cbb2f6e117",
+    ("theorem2", "report.json"): "34ce27b86d443f114b265bc8100efeb2ac9da3fb24adf04d51413f2c492dca8b",
+    ("theorem2", "theorem2.csv"): "6e497e1f57251f9a969bed99a6d2dea36588daf2359d5db6d2751a5565133794",
     ("theorem2", "theorem2.svg"): "de02f1816fa22a65e2c272caa740f925c87ea2308f5e7220b95485d0837e12cf",
     ("uniqueness", "report.json"): "226cc7532653f3059b90ad4426be19b6f8fbd114ada883e9c4edd3d8dc110a65",
     ("uniqueness", "uniqueness.csv"): "2226760e06638c8580a170c770f777ea3bd9b49f0b16c0109213c3bb3cde7374",

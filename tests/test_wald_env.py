@@ -1,5 +1,7 @@
 """Domains, Wald utilities, sampling, and Lipschitz validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ class TestDomains:
     def test_cone_nonempty_invariant(self):
         with pytest.raises(ValueError):
             ConeDomain(alpha=0.8, M=1.0, d=2)
+
+    @pytest.mark.parametrize("M, d", [(1e300, 2), (1e154, 8), (np.inf, 2)])
+    def test_cone_whose_squared_norm_overflows_is_refused(self, M, d):
+        with pytest.raises(ValueError, match="finite"):
+            ConeDomain(alpha=0.1, M=M, d=d)
+
+    def test_cone_just_inside_the_overflow_bound_runs_without_warnings(self):
+        cone = ConeDomain(alpha=0.1, M=9e153, d=2)  # d * M**2 = 1.62e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = cone.sample_batch(np.random.default_rng(0), 200)
+            assert cone.contains_batch(x).all() and np.isfinite(np.linalg.norm(x, axis=1)).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
