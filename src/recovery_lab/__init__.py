@@ -15,7 +15,6 @@ from .aa_prefs import (
     BernoulliIndex,
     CostFunction,
     Prior,
-    StateSpace,
     act_dominates,
     act_value,
     aggregator_eval,

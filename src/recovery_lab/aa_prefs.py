@@ -2,13 +2,14 @@
 
 An act assigns one lottery per state of the world.  Preferences over acts
 are represented by a piecewise-linear utility-of-money index u (normalized
-u(a) = 0, u(b) = 1) composed with an aggregator over statewise expected
-utilities: expected utility with a single prior, max-min over a prior set,
-or a variational form penalizing priors through a grounded cost: each a
-prior set with costs.  Act values take two batched steps, ``eu_table`` then
-``prior_set_values``; scalar calls are batches of one.  The same machinery
-supplies certainty equivalents and the sup-distances between representations
-used by the convergence experiments.
+u(a) = 0, u(b) = 1) and a grounded cost over priors: the value of statewise
+expected utilities is the least, over priors, of their prior-weighted mean
+plus the prior's cost (the variational form).  Expected utility is one
+prior at cost 0 and max-min a prior set at cost 0, so a preference is an
+index and a ``CostFunction``.  Act values take two batched steps,
+``eu_table`` then ``prior_set_values``; scalar calls are batches of one.
+The same machinery supplies certainty equivalents and the sup-distances
+between representations used by the convergence experiments.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ from .lotteries import (
 from ._combinatorics import compositions
 
 CE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite set of states of the world."""
-
-    n_states: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("need at least one state")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"s{i}" for i in range(self.n_states)))
-        if len(self.labels) != self.n_states:
-            raise ValueError("labels must match n_states")
 
 
 @dataclass(frozen=True)
@@ -189,97 +174,55 @@ class CostFunction:
         return CostFunction(tuple(priors), (0.0,) * len(priors))
 
 
-EU = "eu"
-MAXMIN = "maxmin"
-VARIATIONAL = "variational"
-
-
 @dataclass(frozen=True)
 class AAPreference:
-    """A preference over acts: an index plus one of three aggregator kinds."""
+    """A preference over acts: an index and a grounded cost over priors.  The value
+    of statewise utilities z is the least ``q·z + c`` over the priors q at finite
+    cost c: expected utility is one prior at cost 0, max-min a prior set at cost 0."""
 
-    kind: str
     index: BernoulliIndex
-    states: StateSpace
-    prior: Prior | None = None
-    priors: tuple[Prior, ...] = ()
-    cost: CostFunction | None = None
-
-    def __post_init__(self):
-        n = self.states.n_states
-        if self.kind == EU:
-            if self.prior is None or self.prior.n_states != n:
-                raise ShapeMismatchError("eu preference needs a prior over the states")
-        elif self.kind == MAXMIN:
-            if not self.priors or any(p.n_states != n for p in self.priors):
-                raise ShapeMismatchError("maxmin preference needs priors over the states")
-        elif self.kind == VARIATIONAL:
-            if self.cost is None or self.cost.priors[0].n_states != n:
-                raise ShapeMismatchError("variational preference needs a cost over the states")
-        else:
-            raise ValueError(f"unknown preference kind {self.kind!r}")
+    cost: CostFunction
 
     @staticmethod
     def eu(index: BernoulliIndex, prior: Prior) -> "AAPreference":
-        return AAPreference(EU, index, StateSpace(prior.n_states), prior=prior)
+        return AAPreference(index, CostFunction.indicator([prior]))
 
     @staticmethod
     def maxmin(index: BernoulliIndex, priors) -> "AAPreference":
-        priors = tuple(priors)
-        return AAPreference(MAXMIN, index, StateSpace(priors[0].n_states), priors=priors)
+        return AAPreference(index, CostFunction.indicator(tuple(priors)))
 
     @staticmethod
     def variational(index: BernoulliIndex, cost: CostFunction) -> "AAPreference":
-        return AAPreference(
-            VARIATIONAL, index, StateSpace(cost.priors[0].n_states), cost=cost
-        )
+        return AAPreference(index, cost)
+
+    @property
+    def n_states(self) -> int:
+        return self.cost.priors[0].n_states
 
     def value(self, f: Act) -> float:
         return act_value(self, f)
 
     @cached_property
     def prior_set(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, c): the priors (K, S) and grounded costs (K,) that the value
-        minimizes over.  EU is one prior at cost 0, max-min has zero costs."""
-        if self.kind == VARIATIONAL:
-            return np.array([p.weights for p in self.cost.priors]), np.array(self.cost.costs)
-        priors = self.priors if self.kind == MAXMIN else (self.prior,)
-        return np.array([p.weights for p in priors]), np.zeros(len(priors))
+        """(q, c): the cost's priors (K, S) and grounded costs (K,) as arrays."""
+        return np.array([p.weights for p in self.cost.priors]), np.array(self.cost.costs)
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
+        return {
             "index": self.index.to_dict(),
-            "states": self.states.n_states,
             "interval": [self.index.interval.a, self.index.interval.b],
+            "priors": [list(p.weights) for p in self.cost.priors],
+            "costs": [c if math.isfinite(c) else "inf" for c in self.cost.costs],
         }
-        if self.kind == EU:
-            out["prior"] = list(self.prior.weights)
-        elif self.kind == MAXMIN:
-            out["priors"] = [list(p.weights) for p in self.priors]
-        else:
-            out["cost"] = {
-                "priors": [list(p.weights) for p in self.cost.priors],
-                "costs": [c if math.isfinite(c) else "inf" for c in self.cost.costs],
-            }
-        return out
 
     @staticmethod
     def from_dict(d: dict) -> "AAPreference":
         iv = Interval(*d.get("interval", (0.0, 1.0)))
-        index = BernoulliIndex.from_dict(d["index"], iv)
-        kind = d["kind"]
-        if kind == EU:
-            return AAPreference.eu(index, Prior(tuple(d["prior"])))
-        if kind == MAXMIN:
-            return AAPreference.maxmin(index, [Prior(tuple(w)) for w in d["priors"]])
-        if kind == VARIATIONAL:
-            cost = CostFunction(
-                tuple(Prior(tuple(w)) for w in d["cost"]["priors"]),
-                tuple(math.inf if c == "inf" else float(c) for c in d["cost"]["costs"]),
-            )
-            return AAPreference.variational(index, cost)
-        raise ValueError(f"unknown preference kind {kind!r}")
+        cost = CostFunction(
+            tuple(Prior(tuple(w)) for w in d["priors"]),
+            tuple(math.inf if c == "inf" else float(c) for c in d["costs"]),
+        )
+        return AAPreference(BernoulliIndex.from_dict(d["index"], iv), cost)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +276,7 @@ def prior_set_values(terms, c) -> np.ndarray:
 def aggregate(pref: AAPreference, z) -> np.ndarray:
     """Aggregate rows of statewise utilities, shape (..., S), into values (...),
     through ``prior_set_values`` over the preference's prior set."""
-    z, n = np.asarray(z, dtype=float), pref.states.n_states
+    z, n = np.asarray(z, dtype=float), pref.n_states
     if z.shape[-1:] != (n,):
         raise ShapeMismatchError(f"expected {n} statewise utilities, got shape {z.shape}")
     (q, c), lead = pref.prior_set, (1,) * (z.ndim - 1)
@@ -431,8 +374,8 @@ def rep_distance(pref1: AAPreference, pref2: AAPreference, grid: list[Act]) -> t
     """
     if not grid:
         raise ValueError("rep_distance needs a nonempty act grid")
-    n = pref1.states.n_states
-    if pref2.states.n_states != n or any(f.n_states != n for f in grid):
+    n = pref1.n_states
+    if pref2.n_states != n or any(f.n_states != n for f in grid):
         raise ShapeMismatchError("preferences and acts disagree on the state count")
     # one table row per preference over the grid's distinct lotteries
     col = {lot: c for c, lot in enumerate(dict.fromkeys(lot for f in grid for lot in f.per_state))}
@@ -447,8 +390,8 @@ def aggregator_distance(pref1: AAPreference, pref2: AAPreference, z_steps: int =
     The lattice is {0, 1/z_steps, ..., 1}^S, the default grid used when
     reporting aggregator convergence.
     """
-    n = pref1.states.n_states
-    if pref2.states.n_states != n:
+    n = pref1.n_states
+    if pref2.n_states != n:
         raise ShapeMismatchError("preferences disagree on the state count")
     axis = np.linspace(0.0, 1.0, z_steps + 1)
     pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)

@@ -21,6 +21,7 @@ import sys
 import time
 from pathlib import Path
 
+from .._jsonio import count_field
 from ..errors import ConfigError, NumericalGuardError, RecoveryLabError
 from . import sweeps
 from .config import REQUIRED, Field
@@ -61,10 +62,12 @@ def load_config(path: str, table: dict[str, Field]) -> dict:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {p} must be a JSON object")
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"config {p} needs \"version\": {CONFIG_VERSION}, got {cfg.get('version')!r}"
-        )
+    try:  # a JSON integer: true and 1.0 are refused, not compared
+        version = count_field(cfg, "version", CONFIG_VERSION, default=0)
+    except ValueError:
+        version = None
+    if version != CONFIG_VERSION:
+        raise ConfigError(f"version must be {CONFIG_VERSION} in config {p}, got {cfg.get('version')!r}")
     unknown = sorted(set(cfg) - set(table) - {"version"})
     if unknown:
         raise ConfigError(f"config {p} has unknown fields: {', '.join(unknown)}")

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from .._jsonio import count_field, number_field
-from ..aa_prefs import EU, AAPreference, BernoulliIndex, CostFunction, Prior, StateSpace, simplex_grid
+from ..aa_prefs import AAPreference, BernoulliIndex, CostFunction, Prior, simplex_grid
 from ..errors import ShapeMismatchError
 from ..lotteries import Interval
 
@@ -32,22 +32,25 @@ def index_value_grid(
 
 class PrefGrid(Sequence):
     """Candidates as read-only arrays: member r has the index ``indices[index_of[r]]``
-    (one of the U distinct ones), the prior set ``priors[r]`` (K, S) with grounded
-    costs ``costs[r]`` (K,), padded by slots at cost inf, and the shared ``states``.
-    ``grid[r]`` builds a preference with member r's values on demand (EU for one
-    prior at cost 0); a slice or an array of positions is a sub-grid."""
+    (one of the U distinct ones) and the prior set ``priors[r]`` (K, S) with grounded
+    costs ``costs[r]`` (K,), padded by slots at cost inf.  ``grid[r]`` builds member
+    r's preference on demand, its cost over the finite slots; a slice or an array of
+    positions is a sub-grid."""
 
-    def __init__(self, indices, index_of, priors, costs, states: StateSpace):
+    def __init__(self, indices, index_of, priors, costs):
         self.indices, self.index_of, self.priors, self.costs = tuple(indices), index_of, priors, costs
-        self.states = states
         index_of.flags.writeable = priors.flags.writeable = costs.flags.writeable = False
+
+    @property
+    def n_states(self) -> int:
+        return self.priors.shape[-1]
 
     @classmethod
     def of(cls, prefs, states: int) -> "PrefGrid":
         """``prefs`` as a grid over ``states`` states: a ``PrefGrid`` as it is, a
         list packed once (indices told apart by ``id()``: hashing one is slow).
         A preference over another state count raises ``ShapeMismatchError``."""
-        got = {prefs.states.n_states} if isinstance(prefs, PrefGrid) else {p.states.n_states for p in prefs}
+        got = {prefs.n_states} if isinstance(prefs, PrefGrid) else {p.n_states for p in prefs}
         if got - {states}:
             raise ShapeMismatchError(f"preferences over {sorted(got)} states, acts over {states}")
         if isinstance(prefs, PrefGrid):
@@ -59,21 +62,19 @@ class PrefGrid(Sequence):
         for r, p in enumerate(prefs):
             priors[r, : len(p.prior_set[1])], costs[r, : len(p.prior_set[1])] = p.prior_set
         index_of = np.array([row_of[id(p.index)] for p in prefs], int)
-        return cls(indices.values(), index_of, priors, costs, StateSpace(states))
+        return cls(indices.values(), index_of, priors, costs)
 
     def __len__(self) -> int:
         return len(self.index_of)
 
     def __getitem__(self, r):
         if isinstance(r, (slice, np.ndarray)):
-            return PrefGrid(self.indices, self.index_of[r], self.priors[r], self.costs[r], self.states)
+            return PrefGrid(self.indices, self.index_of[r], self.priors[r], self.costs[r])
         r = range(len(self))[r]  # an IndexError ends iteration
         used = np.isfinite(self.costs[r])
-        index, costs = self.indices[self.index_of[r]], self.costs[r][used]
         priors = tuple(Prior(tuple(w)) for w in self.priors[r][used].tolist())
-        if len(costs) == 1 and not costs.any():
-            return AAPreference(EU, index, self.states, prior=priors[0])
-        return AAPreference.variational(index, CostFunction(priors, tuple(costs.tolist())))
+        cost = CostFunction(priors, tuple(self.costs[r][used].tolist()))
+        return AAPreference(self.indices[self.index_of[r]], cost)
 
 
 def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: list[float],
@@ -88,7 +89,7 @@ def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: l
     priors = np.array([p.weights for p in simplex_grid(states, prior_steps)])
     return PrefGrid(indices, np.tile(np.arange(len(indices)), len(priors)),
                     np.repeat(priors, len(indices), axis=0)[:, None],
-                    np.zeros((len(priors) * len(indices), 1)), StateSpace(states))
+                    np.zeros((len(priors) * len(indices), 1)))
 
 
 def grid_from_config(cfg: dict, interval: Interval) -> PrefGrid:

@@ -111,8 +111,8 @@ def _candidates(spec, got) -> PrefGrid:
     grid = grid_from_config(spec, got.interval)
     if not grid:
         raise ValueError("the grid is empty")
-    if grid.states.n_states != got.states:
-        raise ValueError(f"the grid has {grid.states.n_states} states, not {got.states}")
+    if grid.n_states != got.states:
+        raise ValueError(f"the grid has {grid.n_states} states, not {got.states}")
     return grid
 
 

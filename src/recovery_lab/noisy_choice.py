@@ -246,6 +246,10 @@ def read_dataset(path: str | Path) -> Dataset:
     if not isinstance(meta, dict) or "n" not in meta:
         raise DatasetFormatError("meta line must be an object with an 'n' field", line=1)
     try:
+        n = _jsonio.count_field(meta, "n", 0)
+    except ValueError as exc:
+        raise DatasetFormatError(f"bad meta line: {exc}", line=1) from exc
+    try:
         dim = domain_from_dict(meta["domain"]).dim if "domain" in meta else None
     except (ValueError, KeyError, TypeError) as exc:
         raise DatasetFormatError(f"bad domain in meta line: {exc!r}", line=1) from exc
@@ -271,9 +275,9 @@ def read_dataset(path: str | Path) -> Dataset:
             )
         chosen.append(c)
         rejected.append(r)
-    if len(chosen) != meta["n"]:
+    if len(chosen) != n:
         raise DatasetFormatError(
-            f"meta says n={meta['n']} but found {len(chosen)} records",
+            f"meta says n={n} but found {len(chosen)} records",
             line=len(lines),
         )
     shape = (len(chosen), dim or 0)

@@ -10,6 +10,7 @@ each enumerable on a parameter grid for the empirical-risk search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,13 +18,14 @@ import numpy as np
 
 from ._combinatorics import compositions
 from ._jsonio import count_field, number_field
-from .errors import NumericalGuardError, RejectionCapError, ShapeMismatchError
+from .errors import EnumerationCapError, NumericalGuardError, RejectionCapError, ShapeMismatchError
 
 LINEAR = "linear"
 CES = "ces"
 COBB_DOUGLAS = "cobb_douglas"
 
 MAX_TRIES = 10_000  # rejection tries per cone point
+MAX_LATTICE_POINTS = 2_000_000  # product-grid points before the membership filter
 CAP_MESSAGE = "rejection sampling failed after {} tries; domain parameters look degenerate"
 
 
@@ -427,6 +429,8 @@ def _grid_points(domain: Domain, axis) -> np.ndarray:
         axes = [axis(l, h) for l, h in zip(domain.lo, domain.hi)]
     else:
         axes = [axis(0.0, domain.M)] * domain.d
+    if (n := math.prod(len(a) for a in axes)) > MAX_LATTICE_POINTS:
+        raise EnumerationCapError(f"lattice too fine: {n} grid points exceeds cap {MAX_LATTICE_POINTS}")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return pts[domain.contains_batch(pts)]

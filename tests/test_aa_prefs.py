@@ -1,6 +1,8 @@
 """Acts, representations, certainty equivalents, and convergence behavior."""
 
+import json
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,6 @@ from recovery_lab.aa_prefs import (
     BernoulliIndex,
     CostFunction,
     Prior,
-    StateSpace,
     act_dominates,
     act_value,
     aggregate,
@@ -111,16 +112,28 @@ class TestTypes:
         with pytest.raises(IntervalMismatchError):
             Act((delta(0.5), delta(0.5, Interval(0, 2))))
 
-    def test_state_space_labels(self):
-        s = StateSpace(2)
-        assert s.labels == ("s0", "s1")
-
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             pref = random_pref(rng)
             back = AAPreference.from_dict(pref.to_dict())
             assert back == pref
+
+    def test_serialization_writes_the_prior_set(self):
+        grid = tuple(simplex_grid(2, 2))
+        pref = AAPreference.variational(KINKED, CostFunction(grid, (0.5, math.inf, 0.25)))
+        d = pref.to_dict()
+        assert d == {"index": KINKED.to_dict(), "interval": [0.0, 1.0],
+                     "priors": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], "costs": [0.25, "inf", 0.0]}
+        assert AAPreference.from_dict(json.loads(json.dumps(d))) == pref
+        assert AAPreference.eu(KINKED, grid[1]).to_dict()["costs"] == [0.0]
+
+    def test_a_preference_is_an_index_and_a_cost(self):
+        prior = Prior((0.25, 0.75))
+        assert [f.name for f in fields(AAPreference)] == ["index", "cost"]
+        assert AAPreference.eu(KINKED, prior) == AAPreference(KINKED, CostFunction.indicator([prior]))
+        assert AAPreference.maxmin(KINKED, iter([prior])) == AAPreference.eu(KINKED, prior)
+        assert AAPreference.eu(KINKED, prior).n_states == 2
 
 
 class TestExpectedUtility:
@@ -408,12 +421,7 @@ def loop_aggregator_eval(pref, z):
     """Each prior's states summed in state order, multiplying then adding, in
     plain Python floats, plus its cost; the least over the finite-cost priors."""
     z = [float(x) for x in z]
-    if pref.kind == "eu":
-        sets = [(pref.prior.weights, 0.0)]
-    elif pref.kind == "maxmin":
-        sets = [(p.weights, 0.0) for p in pref.priors]
-    else:
-        sets = [(p.weights, c) for p, c in zip(pref.cost.priors, pref.cost.costs) if math.isfinite(c)]
+    sets = [(p.weights, c) for p, c in zip(pref.cost.priors, pref.cost.costs) if math.isfinite(c)]
     values = []
     for w, c in sets:
         acc = w[0] * z[0]
@@ -435,7 +443,7 @@ def loop_rep_distance(pref1, pref2, grid):
 
 def loop_aggregator_distance(pref1, pref2, z_steps):
     axis = np.linspace(0.0, 1.0, z_steps + 1)
-    grids = np.meshgrid(*([axis] * pref1.states.n_states), indexing="ij")
+    grids = np.meshgrid(*([axis] * pref1.n_states), indexing="ij")
     worst = 0.0
     for z in np.stack([g.ravel() for g in grids], axis=1):
         worst = max(worst, abs(loop_aggregator_eval(pref1, z) - loop_aggregator_eval(pref2, z)))

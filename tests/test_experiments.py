@@ -1,5 +1,6 @@
 """Finite experiments, rationalization, and the sweep runners."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from recovery_lab.aa_prefs import (
     AAPreference,
     BernoulliIndex,
+    CostFunction,
     Prior,
     expected_utility,
     index_distance,
@@ -153,7 +155,7 @@ def reference_universe_values(prefs, sig):
     """Values through a per-preference table of scalar expected utilities,
     the prior-weighted states summed in state order."""
     table = np.array([[expected_utility(p.index, lot) for lot in sig.base_lotteries] for p in prefs])
-    priors = np.stack([p.prior.as_array for p in prefs])
+    priors = np.stack([p.cost.priors[0].as_array for p in prefs])
     statewise = table[:, sig.act_indices]  # (P, m, S)
     out = statewise[:, :, 0] * priors[:, None, 0]
     for s in range(1, priors.shape[1]):
@@ -341,14 +343,35 @@ class TestPrefGrid:
         for got in (universe_values(prefs, sig), universe_values(grid, sig), universe_values(list(grid), sig)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["eu", "maxmin", "variational"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_a_packed_member_is_the_preference_it_packed(self, states, kind, seed):
+        # with every cost finite the member is equal; a max-min member once came
+        # back as a variational preference
+        rng = np.random.default_rng(seed)
+        pref = kernel_pref(rng, kind, states)
+        assert PrefGrid.of([pref], states)[0] == pref
+
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_a_packed_member_drops_the_priors_at_cost_inf(self, states):
+        grid = tuple(simplex_grid(states, 3))
+        costs = tuple(math.inf if i % 2 else 0.1 * i for i in range(len(grid)))
+        pref = AAPreference.variational(IDENT, CostFunction(grid, costs))
+        back = PrefGrid.of([pref], states)[0]
+        assert back.cost.priors == grid[::2] and back.cost.costs == costs[::2]
+        sig = build_sigma(states, UNIT, 1, 3, k=1)
+        assert [act_value(back, f) for f in sig.universe] == [act_value(pref, f) for f in sig.universe]
+
     def test_the_recovery_benchmark_grid_builds_each_index_once_and_no_member(self, monkeypatch):
         made = {BernoulliIndex: 0, AAPreference: 0}
         for cls in made:
-            def counted(self, cls=cls, real=cls.__post_init__):
+            def counted(self, *args, cls=cls, real=cls.__init__, **kwargs):
                 made[cls] += 1
-                real(self)
+                real(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         grid = grid_from_config(TestRecoveryWork.CFG["candidates"], UNIT)
         assert len(grid) == 2783 and len(grid.indices) == 253
         assert made == {BernoulliIndex: 253, AAPreference: 0}

@@ -272,6 +272,15 @@ class TestSerialization:
             read_dataset(p)
         assert err.value.line == 1
 
+    # n is a JSON integer >= 0: true and 1.0 once passed as a count of one
+    @pytest.mark.parametrize("n", ["true", "1.0", "-1", '"1"', "null"])
+    def test_meta_count_that_is_not_an_integer_names_line_one(self, tmp_path, n):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(f'{{"format": "choice-dataset/1", "n": {n}}}\n{GOOD_RECORD}\n')
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(p)
+        assert err.value.line == 1 and "n must be" in str(err.value)
+
     def test_count_mismatch_detected(self, tmp_path):
         ds = generate_dataset(BOX, U, ConstantFlip(0.75), 3, seed=9)
         p = tmp_path / "ds.jsonl"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recovery_lab import wald_env
-from recovery_lab.errors import RejectionCapError, ShapeMismatchError
+from recovery_lab.errors import EnumerationCapError, RejectionCapError, ShapeMismatchError
 from recovery_lab.wald_env import (
     BoxDomain,
     ConeDomain,
@@ -360,3 +360,12 @@ class TestFamilies:
         assert len(pts) > 50
         box_pts = lattice_points(BOX, 4)
         assert len(box_pts) == 25
+
+    def test_a_lattice_past_the_cap_is_refused_before_it_is_built(self):
+        # 17**5 points fit; 17**6 would take gigabytes before the membership filter
+        cone = {d: ConeDomain(0.1, 1.0, d) for d in (5, 6)}
+        assert 0 < len(lattice_points(cone[5], 16)) <= wald_env.MAX_LATTICE_POINTS
+        with pytest.raises(EnumerationCapError, match="24137569 grid points"):
+            lattice_points(cone[6], 16)
+        with pytest.raises(EnumerationCapError):
+            lipschitz_estimate(WaldUtility("linear", (0.5, 0.5)), BOX, 5e-4)
