@@ -76,3 +76,24 @@ def number_field(body: dict, key: str, default=_REQUIRED, many: bool = False):
         what = "a list of finite numbers" if many else "a finite number"
         raise ValueError(f"{key} must be {what}, got {value!r}")
     return tuple(values) if many else value
+
+
+def descriptor(d, bodies: dict[str, tuple[str, ...]]) -> tuple[str, dict]:
+    """The kind and body of a descriptor ``{kind: body}``: d holds exactly one key,
+    a kind of ``bodies``, whose body holds only that kind's keys."""
+    if type(d) is not dict or len(d) != 1:
+        got = sorted(d) if type(d) is dict else d
+        raise ValueError(f"a descriptor holds exactly one of {sorted(bodies)}, got {got!r}")
+    (kind, body), = d.items()
+    if kind not in bodies:
+        raise ValueError(f"unknown kind {kind!r}, not one of {sorted(bodies)}")
+    return kind, known_keys(body, bodies[kind])
+
+
+def known_keys(body, keys: tuple[str, ...]) -> dict:
+    """``body`` when it is an object whose keys are all among ``keys``."""
+    if type(body) is not dict:
+        raise ValueError(f"expected an object, got {body!r}")
+    if extra := sorted(set(body) - set(keys)):
+        raise ValueError(f"unknown key {', '.join(map(repr, extra))}; known: {', '.join(keys)}")
+    return body

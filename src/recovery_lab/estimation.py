@@ -9,11 +9,10 @@ separation gap that identifies the truth, a brute-force shattering search,
 and the finite-sample bound evaluator.  A list of utilities is valued over
 a point set by one ``wald_env.value_rows`` call, a single one by ``value_batch``.
 
-``erm_fit`` scores a linear or CES group of candidates by the sign of one
-matmul of their weights with the records' power-table differences, which
-decides each record the way the values would, outside a rounding band
-(``_sign_scores``); a candidate with a record inside the band is valued
-exactly, so every score equals ``score_from_values`` of the values.
+``erm_fit`` works on the family's ``WaldGrid`` arrays: it scores each rho
+group by the sign of one matmul of its weight rows (``_sign_scores``), exact
+outside a rounding band, and builds a ``WaldUtility`` only for each level's
+winner and for a member the sign cannot decide, which it values exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .wald_env import (
     LINEAR,
     Domain,
     UtilityFamily,
+    WaldGrid,
     WaldUtility,
     lattice_points,
     power_table,
@@ -89,10 +89,10 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     toward the lexicographically smallest parameter vector, so the result
     is deterministic given the grid specification and the dataset.
 
-    Each level's candidates are scored by ``_scores``: a (kind, rho) group of
-    linear or CES members by the sign scorer, and the rest (Cobb-Douglas, and
-    members the sign cannot decide) by their values.  Every score equals
-    ``score_from_values`` of the member's ``value_rows``, bit for bit.
+    Each level's ``WaldGrid`` is scored by ``_scores``, every score equal to
+    ``score_from_values`` of the member's ``value_rows``, bit for bit.  The
+    winner is chosen on its ``params`` rows in order, skipping a refinement
+    candidate equal to the running best.
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -101,15 +101,17 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
         raise EmptyGridError("utility family has an empty grid")
     _check_record_dim(ds, family.dim)
     scores: list[float] = []
-    best, best_score = members[0], -math.inf
+    best, best_row, best_score = None, None, -math.inf
     for level in range(refinements + 1):
-        candidates = family.refine_around(best, level) if level else members
-        for cand, s in zip(candidates, _scores(candidates, ds)):
-            if level and cand == best:
+        grid, won = (family.refine_around(best, level) if level else members), None
+        for r, (row, s) in enumerate(zip(grid.params.tolist(), _scores(grid, ds).tolist())):
+            if level and row == best_row:
                 continue
             scores.append(s)
-            if s > best_score or (s == best_score and cand.param_tuple() < best.param_tuple()):
-                best, best_score = cand, s
+            if s > best_score or (s == best_score and row < best_row):
+                won, best_row, best_score = r, row, s
+        if won is not None:
+            best = grid[won]
     ties = scores.count(best_score)
     log = {
         "grid_size": len(members),
@@ -122,29 +124,25 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
 _SLAB_CELLS = 1 << 16  # member x record cells per sign matmul, which bounds its memory
 
 
-def _scores(candidates: list[WaldUtility], ds: Dataset) -> list[float]:
-    """``score_from_values`` of each candidate over ds, one (kind, rho) group at a time."""
-    groups: dict = {}
-    for i, u in enumerate(candidates):
-        groups.setdefault((u.kind, u.rho), []).append(i)
-    scores: list = [None] * len(candidates)
-    for (kind, rho), idx in groups.items():
-        members = [candidates[i] for i in idx]
-        if kind != COBB_DOUGLAS and ds.n:
-            for i, s in zip(idx, _sign_scores(kind, rho, members, ds)):
-                scores[i] = s
-        exact = [i for i in idx if scores[i] is None]
-        if exact:
-            us = [candidates[i] for i in exact]
-            for i, c, r in zip(exact, value_rows(us, ds.chosen), value_rows(us, ds.rejected)):
-                scores[i] = score_from_values(c, r)
+def _scores(grid: WaldGrid, ds: Dataset) -> np.ndarray:
+    """``score_from_values`` of each member of grid over ds, one rho group at a time."""
+    scores = np.full(len(grid), np.nan)
+    for k, rho in enumerate(grid.rhos):
+        group = np.flatnonzero(grid.rho_of == k)
+        if grid.kind != COBB_DOUGLAS and ds.n:
+            scores[group] = _sign_scores(grid.kind, rho, grid.weights[group], ds)
+        exact = group[np.isnan(scores[group])]
+        if exact.size:
+            us = [grid[i] for i in exact]
+            rows = zip(value_rows(us, ds.chosen), value_rows(us, ds.rejected))
+            scores[exact] = [score_from_values(c, r) for c, r in rows]
     return scores
 
 
-def _sign_scores(kind: str, rho: float | None, members: list[WaldUtility], ds: Dataset) -> list:
-    """Scores of one linear or CES group by the sign of ``g = W @ (p_c - p_r).T``,
-    taken over slabs of at most ``_SLAB_CELLS`` cells; None for a member that
-    only its values can score.
+def _sign_scores(kind: str, rho: float | None, weights: np.ndarray, ds: Dataset) -> np.ndarray:
+    """Scores of one linear or CES group, weights (G, d), by the sign of
+    ``g = W @ (p_c - p_r).T``, taken over slabs of at most ``_SLAB_CELLS`` cells;
+    NaN for a member that only its values can score.
 
     With p_c, p_r the records' power tables (``power_table``) and w a member's
     weights, its values are v = f(s) of the dots s_c = p_c @ w, s_r = p_r @ w,
@@ -175,7 +173,7 @@ def _sign_scores(kind: str, rho: float | None, members: list[WaldUtility], ds: D
     n = ds.n
     (p_c, pos_c, top_c), (p_r, pos_r, top_r) = (power_table(x, kind, rho) for x in (ds.chosen, ds.rejected))
     if max(top_c, top_r) == np.inf or (pos_c is not None and not (pos_c.all() and pos_r.all())):
-        return [None] * len(members)
+        return np.full(len(weights), np.nan)
     scale = np.max(np.abs(p_c) + np.abs(p_r), axis=1)
     tiny = np.finfo(float).tiny
     floor = tiny
@@ -184,18 +182,17 @@ def _sign_scores(kind: str, rho: float | None, members: list[WaldUtility], ds: D
     elif kind != LINEAR:
         with np.errstate(over="ignore"):
             if (2.0 * scale.max()) ** (1.0 / rho) < 4.0 * tiny:
-                return [None] * len(members)
+                return np.full(len(weights), np.nan)
     band = 8.0 * max(1.0, abs(rho or 0.0)) * p_c.shape[1] * np.finfo(float).eps * scale + floor
     # the sign of g's rows turned for rho < 0, so that g > band reads "chosen is better"
     diff = np.ascontiguousarray((p_r - p_c if kind != LINEAR and rho < 0.0 else p_c - p_r).T)
-    weights = np.array([u.weights for u in members])
-    out: list = []
+    out = np.empty(len(weights))
     step, below = max(1, _SLAB_CELLS // n), -band
-    for start in range(0, len(members), step):
+    for start in range(0, len(weights), step):
         g = weights[start : start + step] @ diff
         wins = np.add.reduce(g > band, axis=1, dtype=np.int32)
         outside = wins + np.add.reduce(g < below, axis=1, dtype=np.int32)
-        out += [float(k) / n if k_out == n else None for k, k_out in zip(wins, outside)]
+        out[start : start + step] = np.where(outside == n, wins / n, np.nan)
     return out
 
 
@@ -347,7 +344,7 @@ def vc_lower_bound(
     """
     if k < 1 or trials < 1:
         raise ValueError("k and trials must be >= 1")
-    members = family.members()
+    members = list(family.members())
     if not members:
         raise EmptyGridError("utility family has an empty grid")
     if k * (2**k) * len(members) > budget:

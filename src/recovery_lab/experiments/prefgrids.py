@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .._jsonio import count_field, number_field
+from .._jsonio import count_field, descriptor, number_field
 from ..aa_prefs import AAPreference, BernoulliIndex, CostFunction, Prior, simplex_grid
 from ..errors import ShapeMismatchError
 from ..lotteries import Interval
@@ -94,13 +94,11 @@ def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: l
 
 def grid_from_config(cfg: dict, interval: Interval) -> PrefGrid:
     """Build a candidate grid from its JSON descriptor."""
-    if "eu_grid" in cfg:
-        g = cfg["eu_grid"]
-        return eu_grid(
-            count_field(g, "states", 1),
-            interval,
-            count_field(g, "prior_steps", 1, default=1),
-            [float(x) for x in number_field(g, "knot_positions", many=True)],
-            count_field(g, "value_steps", 1),
-        )
-    raise ValueError(f"unknown candidate grid descriptor {sorted(cfg)}")
+    _, g = descriptor(cfg, {"eu_grid": ("states", "prior_steps", "knot_positions", "value_steps")})
+    return eu_grid(
+        count_field(g, "states", 1),
+        interval,
+        count_field(g, "prior_steps", 1, default=1),
+        [float(x) for x in number_field(g, "knot_positions", many=True)],
+        count_field(g, "value_steps", 1),
+    )

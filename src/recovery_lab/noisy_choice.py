@@ -92,13 +92,11 @@ NoiseModel = ConstantFlip | BoundedResponse
 
 
 def noise_from_dict(d: dict) -> NoiseModel:
-    if "constant_flip" in d:
-        return ConstantFlip(float(_jsonio.number_field(d["constant_flip"], "theta")))
-    if "bounded_response" in d:
-        b = d["bounded_response"]
-        params = (float(_jsonio.number_field(b, k)) for k in ("theta_min", "theta_max", "tau"))
-        return BoundedResponse(*params)
-    raise ValueError(f"unknown noise descriptor {sorted(d)}")
+    bounded = ("theta_min", "theta_max", "tau")
+    kind, body = _jsonio.descriptor(d, {"constant_flip": ("theta",), "bounded_response": bounded})
+    if kind == "constant_flip":
+        return ConstantFlip(float(_jsonio.number_field(body, "theta")))
+    return BoundedResponse(*(float(_jsonio.number_field(body, k)) for k in bounded))
 
 
 def q_eval(noise: NoiseModel, pref, x, y) -> float:
@@ -251,7 +249,7 @@ def read_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"bad meta line: {exc}", line=1) from exc
     try:
         dim = domain_from_dict(meta["domain"]).dim if "domain" in meta else None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DatasetFormatError(f"bad domain in meta line: {exc!r}", line=1) from exc
     source = "domain"
     chosen, rejected = [], []

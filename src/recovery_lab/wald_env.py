@@ -5,19 +5,20 @@ Lipschitz bound) and a cone section (homothetic setting): vectors theta*x
 with x on the radius-M sphere patch above the floor alpha*1 and theta in
 [0, 1].  Utilities are normalized so the constant bundle c*1 is worth
 exactly c (weights on the simplex): linear, CES, and Cobb-Douglas kinds,
-each enumerable on a parameter grid for the empirical-risk search.
+each enumerable as a ``WaldGrid`` of parameter arrays for the empirical-risk search.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._combinatorics import compositions
-from ._jsonio import count_field, number_field
+from ._combinatorics import composition_count, compositions
+from ._jsonio import count_field, descriptor, known_keys, number_field
 from .errors import EnumerationCapError, NumericalGuardError, RejectionCapError, ShapeMismatchError
 
 LINEAR = "linear"
@@ -25,7 +26,7 @@ CES = "ces"
 COBB_DOUGLAS = "cobb_douglas"
 
 MAX_TRIES = 10_000  # rejection tries per cone point
-MAX_LATTICE_POINTS = 2_000_000  # product-grid points before the membership filter
+MAX_LATTICE_POINTS = 2_000_000  # lattice points before the membership filter, or family members
 CAP_MESSAGE = "rejection sampling failed after {} tries; domain parameters look degenerate"
 
 
@@ -139,13 +140,11 @@ Domain = BoxDomain | ConeDomain
 
 
 def domain_from_dict(d: dict) -> Domain:
-    if "box" in d:
-        return BoxDomain(*(number_field(d["box"], k, many=True) for k in ("lo", "hi")))
-    if "cone" in d:
-        c = d["cone"]
-        alpha, M = (float(number_field(c, k)) for k in ("alpha", "M"))
-        return ConeDomain(alpha, M, count_field(c, "d", 1))
-    raise ValueError(f"unknown domain descriptor {sorted(d)}")
+    kind, body = descriptor(d, {"box": ("lo", "hi"), "cone": ("alpha", "M", "d")})
+    if kind == "box":
+        return BoxDomain(*(number_field(body, k, many=True) for k in ("lo", "hi")))
+    alpha, M = (float(number_field(body, k)) for k in ("alpha", "M"))
+    return ConeDomain(alpha, M, count_field(body, "d", 1))
 
 
 def _check_dim(x, d: int) -> np.ndarray:
@@ -216,7 +215,7 @@ class WaldUtility:
 
     @staticmethod
     def from_dict(d: dict) -> "WaldUtility":
-        weights = number_field(d, "weights", many=True)
+        weights = number_field(known_keys(d, ("kind", "weights", "rho")), "weights", many=True)
         return WaldUtility(d["kind"], weights, number_field(d, "rho", None))
 
 
@@ -291,6 +290,30 @@ def value_rows(members, x: np.ndarray):
         yield _finite(row, u.kind, u.rho)
 
 
+class WaldGrid(Sequence):
+    """Every row of ``weights`` (W, d) under each of ``rhos`` in turn, as read-only
+    arrays: member r has the weights ``weights[r]`` and the rho ``rhos[rho_of[r]]``,
+    where ``rhos`` keeps the first of equal rhos as given (None for kinds other
+    than CES), and ``params[r]`` is (rho or 0.0, *weights), whose rows compare
+    as ``param_tuple`` does.  ``grid[r]`` builds member r; a slice is a list."""
+
+    def __init__(self, kind: str, rhos: list, weights: np.ndarray):
+        self.kind, self.rhos = kind, tuple(dict.fromkeys(rhos))
+        self.rho_of = np.repeat([self.rhos.index(r) for r in rhos], len(weights))
+        self.weights = np.tile(weights, (len(rhos), 1))
+        self.params = np.column_stack((np.array([r or 0.0 for r in self.rhos])[self.rho_of], self.weights))
+        self.rho_of.flags.writeable = self.weights.flags.writeable = self.params.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.rho_of)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(len(self))[r]]
+        r = range(len(self))[r]  # an IndexError ends iteration
+        return WaldUtility(self.kind, tuple(self.weights[r].tolist()), self.rhos[self.rho_of[r]])
+
+
 @dataclass(frozen=True)
 class UtilityFamily:
     """Enumerable parameter grid of Wald utilities over one domain.
@@ -322,57 +345,37 @@ class UtilityFamily:
     def dim(self) -> int:
         return self.domain.dim
 
-    def weight_grid(self) -> list[tuple[float, ...]]:
-        out = []
-        for counts in compositions(self.weight_steps, self.dim):
-            if self.kind == COBB_DOUGLAS and any(c == 0 for c in counts):
-                continue
-            out.append(tuple(c / self.weight_steps for c in counts))
-        return out
+    def members(self) -> "WaldGrid":
+        """Weights at resolution 1/weight_steps (interior ones for Cobb-Douglas) under
+        each rho in ascending order; refused unbuilt past MAX_LATTICE_POINTS members."""
+        size = composition_count(self.weight_steps, self.dim) * max(1, len(self.rho_grid))
+        if size > MAX_LATTICE_POINTS:
+            raise EnumerationCapError(f"family grid too big: {size} members exceeds cap {MAX_LATTICE_POINTS}")
+        counts = np.array([*compositions(self.weight_steps, self.dim)], dtype=float)
+        counts = counts[(counts > 0.0).all(axis=1) | (self.kind != COBB_DOUGLAS)]
+        return WaldGrid(self.kind, sorted(self.rho_grid) or [None], counts / self.weight_steps)
 
-    def members(self) -> list[WaldUtility]:
-        weights = self.weight_grid()
-        if self.kind == CES:
-            return [
-                WaldUtility(CES, w, rho)
-                for rho in sorted(self.rho_grid)
-                for w in weights
-            ]
-        return [WaldUtility(self.kind, w) for w in weights]
+    def refine_around(self, member: WaldUtility, level: int) -> "WaldGrid":
+        """Candidates at half the grid step around ``member`` (local search), it first.
 
-    def refine_around(self, member: WaldUtility, level: int) -> list[WaldUtility]:
-        """Candidates at half the grid step around ``member`` (local search).
-
-        Weight moves transfer step/2**level mass between coordinate pairs;
-        CES candidates also try rho midpoints toward grid neighbors.
+        Weight moves transfer step/2**level mass from coordinate j to i, for each
+        pair (i, j) row by row; CES candidates also try rho midpoints toward grid
+        neighbors.
         """
         h = 1.0 / (self.weight_steps * (2**level))
-        d = self.dim
-        weight_opts = [member.weights]
-        base = np.asarray(member.weights)
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                w = base.copy()
-                w[i] += h
-                w[j] -= h
-                if w[j] < -1e-12 or (self.kind == COBB_DOUGLAS and w[j] <= 0.0):
-                    continue
-                w = np.clip(w, 0.0, 1.0)
-                w /= w.sum()
-                weight_opts.append(tuple(float(v) for v in w))
+        base, eye = np.asarray(member.weights, dtype=float), np.eye(self.dim)
+        i, j = np.nonzero(eye == 0.0)
+        left = base[j] - h  # what each move leaves at j
+        keep = (left >= -1e-12) & ((left > 0.0) | (self.kind != COBB_DOUGLAS))
+        moves = np.clip(base + h * (eye[i[keep]] - eye[j[keep]]), 0.0, 1.0)
+        weights = np.vstack((base, moves / moves.sum(axis=1, keepdims=True)))
         if self.kind != CES:
-            return [WaldUtility(self.kind, w) for w in weight_opts]
-        rho_opts = [member.rho]
+            return WaldGrid(self.kind, [None], weights)
         grid = sorted(self.rho_grid)
         pos = int(np.argmin([abs(r - member.rho) for r in grid]))
-        for nb in (pos - 1, pos + 1):
-            if 0 <= nb < len(grid):
-                mid = member.rho + (grid[nb] - member.rho) / (2**level)
-                if mid != 0.0:
-                    rho_opts.append(mid)
-        return [WaldUtility(CES, w, r) for r in rho_opts for w in weight_opts]
+        near = [grid[nb] for nb in (pos - 1, pos + 1) if 0 <= nb < len(grid)]
+        mids = (member.rho + (r - member.rho) / (2**level) for r in near)
+        return WaldGrid(CES, [member.rho, *(mid for mid in mids if mid != 0.0)], weights)
 
     def to_dict(self) -> dict:
         body: dict = {"weight_steps": self.weight_steps}
@@ -384,7 +387,8 @@ class UtilityFamily:
 
     @staticmethod
     def from_dict(d: dict, domain: Domain) -> "UtilityFamily":
-        (kind, body), = d.items()
+        keys = ("weight_steps", "rho_grid", "kappa")
+        kind, body = descriptor(d, dict.fromkeys((LINEAR, CES, COBB_DOUGLAS), keys))
         return UtilityFamily(
             kind,
             domain,

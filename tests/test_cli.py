@@ -478,6 +478,14 @@ BAD_GEN_FIT = [
     ("fit", {"family": {"ces": {"rho_grid": [0.0, 1.0], "weight_steps": 4}}}, ["family", "rho_grid"]),
     ("fit", {"family": {"ces": {"rho_grid": ["a"], "weight_steps": 4}}}, ["family", "rho_grid"]),
     ("fit", {"family": {"linear": {"weight_steps": 0}}}, ["family", "weight_steps"]),
+    # a descriptor holds exactly one kind key, and a body only its own keys
+    ("gen", {"domain": {**BOX, **CONE}}, ["domain", "exactly one"]),
+    ("gen", {"domain": {"box": {**BOX["box"], "typo_M": 3}}}, ["domain", "typo_M"]),
+    ("gen", {"noise": {"constant_flip": {"theta": 0.8, "tau": 9}}}, ["noise", "tau"]),
+    ("gen", {"preference": {"kind": "linear", "weights": [0.25, 0.75], "rh0": 2}}, ["preference", "rh0"]),
+    ("fit", {"family": {"linear": {"weight_steps": 4, "rho_grid": [1.0]}, "ces": {"weight_steps": 4}}},
+     ["family", "exactly one"]),
+    ("fit", {"domain": {"cone": {**CONE["cone"], "dim": 2}}}, ["domain", "dim"]),
 ]
 
 
@@ -573,6 +581,16 @@ BAD_CONFIGS = [
     ("consistency", {"family": {"ces": {"rho_grid": [True, 2.0], "weight_steps": 4}}}, "family"),
     ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4,
                                         "kappa": "big"}}}, "family"),
+    # unknown keys in a descriptor are refused, not dropped
+    ("recovery", {"candidates": {"eu_grid": {**CLI_CONFIGS["recovery"]["candidates"]["eu_grid"],
+                                             "prior_step": 4}}}, "candidates"),
+    ("recovery", {"candidates": {"eu_grid": CLI_CONFIGS["recovery"]["candidates"]["eu_grid"], "x": {}}},
+     "candidates"),
+    ("vc", {"family": {"linear": {"weight_steps": 2, "weight_step": 9}}}, "family"),
+    ("consistency", {"noise": {"bounded_response": {"theta_min": 0.6, "theta_max": 0.9, "tau": 0.5,
+                                                    "theta": 0.7}}}, "noise"),
+    ("consistency", {"true_preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": 2.0, "kappa": 1}},
+     "true_preference"),
 ]
 
 
@@ -604,6 +622,22 @@ def run_cli(tmp_path, command, cfg):
     return cli_main([command, "--config", path, "--out", str(tmp_path / "o")])
 
 
+def assert_keeps_the_contract(command, cfg):
+    """Exit 0, 2 or 3; stderr empty on success and one line otherwise, where a
+    warning counts as stderr; no traceback; no output after a failure."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(Path(tmp), command, cfg)
+        made = (Path(tmp) / "o").exists()
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3), lines
+    assert len(lines) == (0 if code == 0 else 1), lines
+    assert not any("Traceback" in line for line in lines)
+    assert made == (code == 0)
+
+
 class TestFieldTables:
     @pytest.mark.parametrize("command, over, field", BAD_CONFIGS)
     def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, command, over, field):
@@ -615,21 +649,20 @@ class TestFieldTables:
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(case=st.sampled_from(CONTRACT_CASES), value=st.sampled_from(CONTRACT_VALUES))
     def test_one_malformed_field_never_escapes_the_contract(self, case, value):
-        # one value at any path into an entry: exit 0, 2 or 3; stderr empty on
-        # success and one line otherwise, where a warning counts as stderr; no
-        # traceback; no output after a failure
         command, path = case
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli(Path(tmp), command, replaced(CLI_CONFIGS[command], path, value))
-            made = (Path(tmp) / "o").exists()
-        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-        assert code in (0, 2, 3), lines
-        assert len(lines) == (0 if code == 0 else 1), lines
-        assert not any("Traceback" in line for line in lines)
-        assert made == (code == 0)
+        assert_keeps_the_contract(command, replaced(CLI_CONFIGS[command], path, value))
+
+    def test_one_malformed_fit_field_never_escapes_the_contract(self, tmp_path):
+        assert run_cli(tmp_path, "gen", GEN) == 0
+        fit = {"version": 1, "dataset": str(tmp_path / "o" / "dataset.jsonl"), "refinements": 1,
+               "domain": GEN["domain"], "family": {"ces": {"rho_grid": [0.5, 2], "weight_steps": 4}}}
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(path=st.sampled_from([*config_paths(fit)]), value=st.sampled_from(CONTRACT_VALUES))
+        def one_value_anywhere(path, value):
+            assert_keeps_the_contract("fit", replaced(fit, path, value))
+
+        one_value_anywhere()
 
     def test_box_lattice_at_one_step_is_valid(self, tmp_path):
         cfg = {**CLI_CONFIGS["consistency"], "domain": BOX, "eval_steps": 1,

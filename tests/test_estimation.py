@@ -146,7 +146,7 @@ class TestErmFit:
 
     def test_empty_grid_raises(self):
         fam = UtilityFamily("cobb_douglas", BOX, weight_steps=1)
-        assert fam.members() == []
+        assert len(fam.members()) == 0
         with pytest.raises(EmptyGridError):
             erm_fit(fam, EMPTY)
 
@@ -374,6 +374,25 @@ class TestErmWork:
             got = erm_fit(family, ds)
         assert calls == []
         assert got.to_dict() == reference_erm_fit(family, ds).to_dict()
+
+    def test_builds_a_utility_only_for_each_level_winner(self):
+        box = BoxDomain.unit(3)
+        ds = generate_dataset(box, WaldUtility("ces", (0.25, 0.25, 0.5), 0.5), ConstantFlip(0.75), 5000, 1)
+        family = UtilityFamily("ces", box, 24, (0.5, 1.0, 2.0, 4.0))
+        built = []
+        check = WaldUtility.__post_init__
+        with mock.patch.object(WaldUtility, "__post_init__", lambda u: built.append(u) or check(u)):
+            got = erm_fit(family, ds, refinements=2)
+        assert got.search_log["evaluated"] > 1300 and 1 <= len(built) <= 3
+
+    def test_int_rhos_stay_ints(self):
+        family = UtilityFamily("ces", BOX, 4, (2, -1, 1))
+        grid = family.members()
+        assert grid.rhos == (-1, 1, 2) and all(type(r) is int for r in grid.rhos)
+        assert all(type(m.rho) is int for m in grid)
+        ds = noiseless_dataset(WaldUtility("ces", (0.25, 0.75), 1), BOX, 50, seed=20)
+        best = erm_fit(family, ds, refinements=0).to_dict()["best"]
+        assert best["rho"] == 1 and type(best["rho"]) is int
 
 
 class TestRho:

@@ -262,7 +262,17 @@ class TestSerialization:
         assert err.value.line == 3
 
     @pytest.mark.parametrize(
-        "domain", [{"box": {}}, {"cone": {"alpha": 2.0, "M": 1.0, "d": 2}}, [1]]
+        "domain",
+        [
+            {"box": {}},
+            {"cone": {"alpha": 2.0, "M": 1.0, "d": 2}},
+            [1],
+            # a descriptor holds one kind, and a body only its own keys
+            {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "cone": {"alpha": 0.1, "M": 1.0, "d": 2}},
+            {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "typo_M": 3}},
+            # a JSON integer too large for a float once escaped as OverflowError
+            {"box": {"lo": [0.0, 0.0], "hi": [1.0, 10**400]}},
+        ],
     )
     def test_malformed_meta_domain_names_line_one(self, tmp_path, domain):
         p = tmp_path / "ds.jsonl"

@@ -1,9 +1,12 @@
 """Domains, Wald utilities, sampling, and Lipschitz validation."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recovery_lab import wald_env
 from recovery_lab.errors import EnumerationCapError, RejectionCapError, ShapeMismatchError
@@ -349,6 +352,28 @@ class TestFamilies:
             for cand in fam.refine_around(m, level):
                 assert abs(sum(cand.weights) - 1.0) <= 1e-12
 
+    def test_grid_arrays_and_on_demand_members(self):
+        fam = UtilityFamily("ces", CONE, weight_steps=2, rho_grid=(2.0, 0.5))
+        grid = fam.members()
+        assert grid.rhos == (0.5, 2.0) and grid.rho_of.tolist() == [0, 0, 0, 1, 1, 1]
+        assert grid.weights.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]] * 2
+        assert grid.params.tolist() == [[m.rho, *m.weights] for m in grid]
+        assert grid[-1] == WaldUtility("ces", (0.0, 1.0), 2.0) and grid[1:3] == [grid[1], grid[2]]
+        with pytest.raises(IndexError):
+            grid[6]
+        with pytest.raises(ValueError):
+            grid.weights[0, 0] = 0.5
+
+    def test_a_family_grid_past_the_cap_is_refused_before_it_is_built(self):
+        # C(3002, 2) = 4,504,501 three-weight compositions, and 1,000,001 two-weight
+        # ones under two rhos: both past the cap, so neither may be enumerated
+        too_fine = [UtilityFamily("linear", BoxDomain.unit(3), 3000),
+                    UtilityFamily("ces", CONE, 1_000_000, (0.5, 2.0))]
+        with mock.patch.object(wald_env, "compositions", side_effect=AssertionError("enumerated")):
+            for fam, size in zip(too_fine, (4_504_501, 2_000_002)):
+                with pytest.raises(EnumerationCapError, match=f"{size} members"):
+                    fam.members()
+
     def test_descriptor_roundtrip(self):
         fam = UtilityFamily("ces", CONE, weight_steps=8, rho_grid=(0.5, 2.0), kappa=None)
         back = UtilityFamily.from_dict(fam.to_dict(), CONE)
@@ -369,3 +394,73 @@ class TestFamilies:
             lattice_points(cone[6], 16)
         with pytest.raises(EnumerationCapError):
             lipschitz_estimate(WaldUtility("linear", (0.5, 0.5)), BOX, 5e-4)
+
+
+def reference_refine_around(family, member, level):
+    """The double loop over coordinate pairs that refine_around replaced."""
+    h = 1.0 / (family.weight_steps * (2**level))
+    weight_opts = [member.weights]
+    base = np.asarray(member.weights)
+    for i in range(family.dim):
+        for j in range(family.dim):
+            if i == j:
+                continue
+            w = base.copy()
+            w[i] += h
+            w[j] -= h
+            if w[j] < -1e-12 or (family.kind == "cobb_douglas" and w[j] <= 0.0):
+                continue
+            w = np.clip(w, 0.0, 1.0)
+            w /= w.sum()
+            weight_opts.append(tuple(float(v) for v in w))
+    if family.kind != "ces":
+        return [WaldUtility(family.kind, w) for w in weight_opts]
+    rho_opts = [member.rho]
+    grid = sorted(family.rho_grid)
+    pos = int(np.argmin([abs(r - member.rho) for r in grid]))
+    for nb in (pos - 1, pos + 1):
+        if 0 <= nb < len(grid):
+            mid = member.rho + (grid[nb] - member.rho) / (2**level)
+            if mid != 0.0:
+                rho_opts.append(mid)
+    return [WaldUtility("ces", w, r) for r in rho_opts for w in weight_opts]
+
+
+@st.composite
+def refine_cases(draw):
+    """A family of any kind in 1 to 9 dimensions (int, repeated and negative
+    rhos for CES) and a member on its grid, often on an edge of the simplex,
+    or between its points as a refinement level leaves one."""
+    d = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["linear", "cobb_douglas", "ces"]))
+    rhos = ()
+    if kind == "ces":
+        rhos = tuple(draw(st.lists(st.sampled_from([-2.0, -1, -0.5, 0.5, 1, 2, 3.0]), min_size=1, max_size=4)))
+    low = 1 if kind == "cobb_douglas" else 0
+    steps = draw(st.integers(max(1, low * d), 12))
+    family = UtilityFamily(kind, BoxDomain.unit(d), steps, rhos)
+    grid = family.members()
+    member = grid[draw(st.integers(0, len(grid) - 1))]
+    for level in range(1, draw(st.integers(1, 3))):  # walk off the grid
+        refined = family.refine_around(member, level)
+        member = refined[draw(st.integers(0, len(refined) - 1))]
+    level = draw(st.integers(1, 4))
+    if d > 1 and draw(st.booleans()):  # a weight an ulp short of a move: its rounding tolerance and clip
+        h = 1.0 / (steps * 2**level)
+        w = np.full(d, (1.0 - h) / (d - 1))
+        w[draw(st.integers(0, d - 1))] = np.nextafter(h, 0.0)
+        member = WaldUtility(kind, tuple(w.tolist()), member.rho)
+    return family, member, level
+
+
+def bits(u):
+    return u.kind, np.array(u.weights).tobytes(), None if u.rho is None else float(u.rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=refine_cases())
+def test_refine_around_is_the_double_loop_bit_for_bit(case):
+    family, member, level = case
+    got, want = family.refine_around(member, level), reference_refine_around(family, member, level)
+    assert [bits(u) for u in got] == [bits(u) for u in want]
+    assert got[0] == member and type(got[0].rho) is type(member.rho)
