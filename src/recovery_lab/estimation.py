@@ -9,10 +9,8 @@ separation gap that identifies the truth, a brute-force shattering search,
 and the finite-sample bound evaluator.  A list of utilities is valued over
 a point set by one ``wald_env.value_rows`` call, a single one by ``value_batch``.
 
-``erm_fit`` works on the family's ``WaldGrid`` arrays: it scores each rho
-group by the sign of one matmul of its weight rows (``_sign_scores``), exact
-outside a rounding band, and builds a ``WaldUtility`` only for each level's
-winner and for a member the sign cannot decide, which it values exactly.
+``erm_fit`` and ``vc_lower_bound`` read the sign of v(x) - v(y) per grid member
+and pair from one kernel, ``_signs``, exact outside a rounding band.
 """
 
 from __future__ import annotations
@@ -121,79 +119,83 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     return ErmResult(best, best_score, ds.n, ties, log)
 
 
-_SLAB_CELLS = 1 << 16  # member x record cells per sign matmul, which bounds its memory
+_SLAB_CELLS = 1 << 16  # member x pair cells per sign matmul, which bounds its memory
 
 
 def _scores(grid: WaldGrid, ds: Dataset) -> np.ndarray:
-    """``score_from_values`` of each member of grid over ds, one rho group at a time."""
-    scores = np.full(len(grid), np.nan)
-    for k, rho in enumerate(grid.rhos):
-        group = np.flatnonzero(grid.rho_of == k)
-        if grid.kind != COBB_DOUGLAS and ds.n:
-            scores[group] = _sign_scores(grid.kind, rho, grid.weights[group], ds)
-        exact = group[np.isnan(scores[group])]
-        if exact.size:
-            us = [grid[i] for i in exact]
-            rows = zip(value_rows(us, ds.chosen), value_rows(us, ds.rejected))
-            scores[exact] = [score_from_values(c, r) for c, r in rows]
+    """``score_from_values`` of each member of grid over ds: its share of records of sign >= 0."""
+    scores = np.ones(len(grid))  # the empty dataset's
+    if ds.n:
+        for members, cells in _signs(grid, ds.chosen, ds.rejected):
+            scores[members] = (cells >= 0).sum(axis=1, dtype=np.int32) / ds.n
     return scores
 
 
-def _sign_scores(kind: str, rho: float | None, weights: np.ndarray, ds: Dataset) -> np.ndarray:
-    """Scores of one linear or CES group, weights (G, d), by the sign of
-    ``g = W @ (p_c - p_r).T``, taken over slabs of at most ``_SLAB_CELLS`` cells;
-    NaN for a member that only its values can score.
+def _signs(grid: WaldGrid, xs: np.ndarray, ys: np.ndarray):
+    """Yield ``(members, cells)`` slabs over grid of at most ``_SLAB_CELLS`` cells:
+    cells[i, j] is the sign (-1, 0 or +1) of v(xs[j]) - v(ys[j]) for member
+    members[i], v its ``value_rows`` values, over n >= 1 pairs.  Outside the band
+    of ``_band`` that is the sign of g; a member with a cell inside it is valued
+    through ``value_rows``, so 0 means an exact tie."""
+    step = max(1, _SLAB_CELLS // len(xs))
+    for k, rho in enumerate(grid.rhos):
+        group = np.flatnonzero(grid.rho_of == k)
+        diff, band = _band(grid.kind, rho, xs, ys)
+        for start in range(0, len(group), step):
+            members = group[start : start + step]
+            g = grid.weights[members] @ diff
+            cells = (g > band).view(np.int8) - (g < -band).view(np.int8)
+            undecided = (cells == 0).any(axis=1)
+            if undecided.any():
+                us = [grid[i] for i in members[undecided]]
+                vx, vy = (np.array([*value_rows(us, x)]) for x in (xs, ys))
+                cells[undecided] = (vx > vy).view(np.int8) - (vx < vy).view(np.int8)
+            yield members, cells
 
-    With p_c, p_r the records' power tables (``power_table``) and w a member's
-    weights, its values are v = f(s) of the dots s_c = p_c @ w, s_r = p_r @ w,
-    with f(s) = s for linear and s**(1/rho) for CES: increasing for rho > 0,
-    decreasing for rho < 0.  Outside a band, |g| > m, a record counts
-    (v_c >= v_r) exactly when g > 0, or g < 0 for rho < 0, where per record
 
-        m = K * d * eps * max_k(|p_c| + |p_r|) + floor,   K = 8 * max(1, |rho|).
+def _band(kind: str, rho: float | None, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(diff, band)`` of one (kind, rho) group over the pairs (xs[j], ys[j]): for
+    each member w, g = w @ diff has the sign of v(x) - v(y) where |g| > band.
+
+    With p_x, p_y the pair's power tables (``power_table``), a member's values
+    are v = f(s) of the dots s_x = p_x @ w, s_y = p_y @ w, with f(s) = s for
+    linear and s**(1/rho) for CES: increasing for rho > 0, decreasing for rho
+    < 0, where diff = p_y - p_x turns the sign (else diff = p_x - p_y).  Per pair
+
+        band = K * d * eps * max_k(|p_x| + |p_y|) + floor,   K = 8 * max(1, |rho|).
 
     Why that is exact.  Write M for the max above and u = eps / 2 for the unit
     roundoff.  Each computed dot, in any summation order, is within d*u*M of
     its exact value (w lies on the simplex), up to underflow errors below the
-    floor, and g is within (d + 1)*u*M of the exact s_c - s_r.  So |g| > m gives
-    the computed s_c - s_r the sign of g, with a gap above
+    floor, and g is within (d + 1)*u*M of the exact s_x - s_y.  So |g| > band
+    gives the computed s_x - s_y the sign of g, with a gap above
     6 * max(1, |rho|) * d * eps * M.  The smaller dot is at most M, so the larger
     exceeds it by a factor above 1 + 6 * max(1, |rho|) * d * eps; the power
     1/rho leaves a factor above 1 + 5 * d * eps between the two values, more
-    than two pow calls of under 2 ulps each can close.  A member with any
-    record inside its band goes to the exact path.
+    than two pow calls of under 2 ulps each can close.
 
     The floor is the smallest normal and, for rho > 0, the s below which
     s**(1/rho) is under four times that, so a decided larger value is normal.
-    A group goes to the exact path whole when a record is worth zero (a zero
-    coordinate at rho < 0), or when a value might not be finite (the table's
-    ``top`` is inf) or, for rho < 0, might fall below four times the smallest
-    normal; ``value_rows`` then values it or raises.
+    A zero diff and an infinite band leave to ``value_rows`` a Cobb-Douglas
+    group, and a group where a bundle is worth zero (a zero coordinate at
+    rho < 0), or where a value might not be finite (the table's ``top`` is
+    inf) or, for rho < 0, might fall below four times the smallest normal.
     """
-    n = ds.n
-    (p_c, pos_c, top_c), (p_r, pos_r, top_r) = (power_table(x, kind, rho) for x in (ds.chosen, ds.rejected))
-    if max(top_c, top_r) == np.inf or (pos_c is not None and not (pos_c.all() and pos_r.all())):
-        return np.full(len(weights), np.nan)
-    scale = np.max(np.abs(p_c) + np.abs(p_r), axis=1)
+    n, d = xs.shape
+    undecided = np.zeros((d, n)), np.full(n, np.inf)
+    if kind == COBB_DOUGLAS:
+        return undecided
+    (p_x, pos_x, top_x), (p_y, pos_y, top_y) = (power_table(v, kind, rho) for v in (xs, ys))
+    if max(top_x, top_y) == np.inf or (pos_x is not None and not (pos_x.all() and pos_y.all())):
+        return undecided
+    scale = np.max(np.abs(p_x) + np.abs(p_y), axis=1)
     tiny = np.finfo(float).tiny
-    floor = tiny
-    if kind != LINEAR and rho > 0.0:
-        floor = max(tiny, (4.0 * tiny) ** rho)
-    elif kind != LINEAR:
-        with np.errstate(over="ignore"):
-            if (2.0 * scale.max()) ** (1.0 / rho) < 4.0 * tiny:
-                return np.full(len(weights), np.nan)
-    band = 8.0 * max(1.0, abs(rho or 0.0)) * p_c.shape[1] * np.finfo(float).eps * scale + floor
-    # the sign of g's rows turned for rho < 0, so that g > band reads "chosen is better"
-    diff = np.ascontiguousarray((p_r - p_c if kind != LINEAR and rho < 0.0 else p_c - p_r).T)
-    out = np.empty(len(weights))
-    step, below = max(1, _SLAB_CELLS // n), -band
-    for start in range(0, len(weights), step):
-        g = weights[start : start + step] @ diff
-        wins = np.add.reduce(g > band, axis=1, dtype=np.int32)
-        outside = wins + np.add.reduce(g < below, axis=1, dtype=np.int32)
-        out[start : start + step] = np.where(outside == n, wins / n, np.nan)
-    return out
+    floor = max(tiny, (4.0 * tiny) ** rho) if kind != LINEAR and rho > 0.0 else tiny
+    with np.errstate(over="ignore"):
+        if kind != LINEAR and rho < 0.0 and (2.0 * scale.max()) ** (1.0 / rho) < 4.0 * tiny:
+            return undecided
+    band = 8.0 * max(1.0, abs(rho or 0.0)) * d * np.finfo(float).eps * scale + floor
+    return np.ascontiguousarray((p_y - p_x if kind != LINEAR and rho < 0.0 else p_x - p_y).T), band
 
 
 def rho(u1: WaldUtility, u2: WaldUtility, grid: np.ndarray) -> float:
@@ -241,6 +243,16 @@ def mu_estimate(
     return _mean_and_stderr((eval_x >= eval_y) * q_eval_batch(noise, true_x, true_y))
 
 
+def _gap(pref_true, pref_other, noise: NoiseModel, domain: Domain, m: int, seed: int) -> tuple[float, float]:
+    """mu(true, true) - mu(other, true) over m common pairs, and its standard error."""
+    xs, ys = _pair_batches(domain, m, seed)
+    true_x, other_x = value_rows([pref_true, pref_other], xs)
+    true_y, other_y = value_rows([pref_true, pref_other], ys)
+    q = q_eval_batch(noise, true_x, true_y)
+    own, other = (true_x >= true_y).astype(float), (other_x >= other_y).astype(float)
+    return _mean_and_stderr((own - other) * q)
+
+
 def separation_estimate(
     pref_true: WaldUtility,
     pref_other: WaldUtility,
@@ -256,12 +268,7 @@ def separation_estimate(
     standard error and the gap is exactly zero when the two utilities rank
     every sampled pair identically.
     """
-    xs, ys = _pair_batches(domain, m, seed)
-    true_x, other_x = value_rows([pref_true, pref_other], xs)
-    true_y, other_y = value_rows([pref_true, pref_other], ys)
-    q = q_eval_batch(noise, true_x, true_y)
-    own, other = (true_x >= true_y).astype(float), (other_x >= other_y).astype(float)
-    gap, stderr = _mean_and_stderr((own - other) * q)
+    gap, stderr = _gap(pref_true, pref_other, noise, domain, m, seed)
     if eval_grid is None:
         eval_grid = lattice_points(domain, 16)
     return gap, stderr, rho(pref_true, pref_other, eval_grid)
@@ -313,9 +320,7 @@ def separation_exponent_check(
         if r < 1e-9:
             skipped += 1
             continue
-        gap, stderr, _ = separation_estimate(
-            true, other, noise, domain, m, seed=int(rng.integers(2**31)), eval_grid=eval_grid
-        )
+        gap, stderr = _gap(true, other, noise, domain, m, seed=int(rng.integers(2**31)))
         rows.append((r, gap, stderr))
         if gap + 3 * stderr < 0:
             violations += 1
@@ -344,22 +349,18 @@ def vc_lower_bound(
     """
     if k < 1 or trials < 1:
         raise ValueError("k and trials must be >= 1")
-    members = list(family.members())
-    if not members:
+    grid = family.members()
+    if not grid:
         raise EmptyGridError("utility family has an empty grid")
-    if k * (2**k) * len(members) > budget:
-        raise CombinatorialCapError(
-            f"shattering search size k*2^k*grid = {k * (2 ** k) * len(members)} "
-            f"exceeds budget {budget}"
-        )
+    if (size := k * (2**k) * len(grid)) > budget:
+        raise CombinatorialCapError(f"shattering search size k*2^k*grid = {size} exceeds budget {budget}")
 
     def shattered(xs: np.ndarray, ys: np.ndarray) -> bool:
         """Every labeling of the (k, d) problems xs[i] vs ys[i] is rationalized."""
-        vx = np.stack([*value_rows(members, xs)])  # (G, k)
-        vy = np.stack([*value_rows(members, ys)])
+        signs = np.concatenate([cells for _, cells in _signs(grid, xs, ys)])  # (G, k)
         # labels[l, j]: labeling l has "y chosen" on problem j
         labels = ((np.arange(2 ** len(xs))[:, None] >> np.arange(len(xs))) & 1).astype(bool)
-        ok = np.where(labels[:, None, :], vy >= vx, vx >= vy).all(axis=2)  # (2**k, G)
+        ok = np.where(labels[:, None, :], signs <= 0, signs >= 0).all(axis=2)  # (2**k, G)
         return bool(ok.any(axis=1).all())
 
     proposed = [np.asarray(c, dtype=float) for c in proposals or () if c]  # each (k', 2, d)

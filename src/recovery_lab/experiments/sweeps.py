@@ -86,13 +86,27 @@ def parallel_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative(kind: str, domain, records=()) -> None:
+    """Refuse a CES or Cobb-Douglas kind over a box that reaches below zero, or
+    over records with a negative coordinate."""
+    if kind != LINEAR and isinstance(domain, BoxDomain) and min(domain.lo) < 0:
+        raise ValueError(f"{kind} needs nonnegative bundles, box lo is {list(domain.lo)}")
+    if kind != LINEAR and any(np.any(x < 0.0) for x in records):
+        raise ValueError(f"{kind} needs nonnegative bundles, a record has a negative coordinate")
+
+
 def _preference(spec, got) -> WaldUtility:
     pref, domain = WaldUtility.from_dict(spec), got.domain
     if pref.dim != domain.dim:
         raise ValueError(f"it has dimension {pref.dim} but the domain {domain.dim}")
-    if pref.kind != LINEAR and isinstance(domain, BoxDomain) and min(domain.lo) < 0:
-        raise ValueError(f"{pref.kind} needs nonnegative bundles, box lo is {list(domain.lo)}")
+    _nonnegative(pref.kind, domain)
     return pref
+
+
+def _family(spec, got, records=()) -> UtilityFamily:
+    family = UtilityFamily.from_dict(spec, got.domain)
+    _nonnegative(family.kind, got.domain, records)
+    return family
 
 
 def _exponent(value, got) -> int:
@@ -125,9 +139,12 @@ def _true_index(value, got) -> int:
 def _proposals(value, got) -> list | None:
     for c in [] if value is None else as_list(value, 0):
         for xy in as_list(c, 0):
-            if [len(number_field({"coordinates": v}, "coordinates", many=True))
-                    for v in as_list(xy, 2, 2)] != [got.domain.dim] * 2:
+            pair = [number_field({"coordinates": v}, "coordinates", many=True) for v in as_list(xy, 2, 2)]
+            if [len(v) for v in pair] != [got.domain.dim] * 2:
                 raise ValueError(f"{xy!r} is not an (x, y) pair of {got.domain.dim}-vectors")
+            with np.errstate(over="ignore"):  # a cone's norm of a huge point is inf: outside
+                if not got.domain.contains_batch(np.array(pair)).all():
+                    raise ValueError(f"{xy!r} has a point outside the domain")
     return value
 
 
@@ -157,7 +174,7 @@ def _prior(value, got) -> np.ndarray:
 
 DOMAIN = Field("a domain descriptor", lambda v, got: domain_from_dict(v))
 NOISE = Field("a noise descriptor", lambda v, got: noise_from_dict(v))
-FAMILY = Field("a utility family descriptor", lambda v, got: UtilityFamily.from_dict(v, got.domain))
+FAMILY = Field("a utility family descriptor", _family)
 PREFERENCE = Field("a utility descriptor over the domain", _preference)
 EXPONENT = Field("an integer >= 1 (default: the dimension, doubled on a cone)", _exponent, None)
 POSITIVE = number("a number > 0", lambda x: x > 0)
@@ -194,7 +211,7 @@ FIT_FIELDS = fields(
     refinements=count(0, 2),
     dataset=Field("the path of a JSONL choice dataset", lambda v, got: read_dataset(v)),
     domain=Field("a domain descriptor (default: the dataset's)", _fit_domain, None),
-    family=FAMILY,
+    family=Field(FAMILY.must_be, lambda v, got: _family(v, got, (got.dataset.chosen, got.dataset.rejected))),
 )
 
 

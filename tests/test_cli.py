@@ -456,6 +456,8 @@ class TestNumbersAndKinds:
 
 
 GEN = CLI_CONFIGS["gen"]
+NEG_BOX = {"box": {"lo": [-1.0, 0.0], "hi": [1.0, 1.0]}}
+CES_FAMILY = {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4}}
 
 # (subcommand, field overrides, words the one-line message names)
 BAD_GEN_FIT = [
@@ -502,6 +504,20 @@ class TestGenFitConfig:
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, *words)
         assert not (tmp_path / "o").exists()
+
+    def test_ces_fit_refuses_negative_records(self, tmp_path, capsys):
+        # a dataset drawn on a box reaching below zero: CES needs nonnegative
+        # bundles, whether the fit reads the dataset's domain or a unit box
+        gen = {**GEN, "domain": NEG_BOX}
+        assert cli_main(["gen", "--config", write_cfg(tmp_path, "g.json", gen), "--out", str(tmp_path / "ds")]) == 0
+        fit = {"version": 1, "dataset": str(tmp_path / "ds" / "dataset.jsonl"), "family": CES_FAMILY}
+        for over, words in [({}, ["box lo is [-1.0, 0.0]"]), ({"domain": BOX}, ["a record has a negative"])]:
+            path = write_cfg(tmp_path, "c.json", {**fit, **over})
+            assert cli_main(["fit", "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert_one_line_config_error(capsys, "family", "ces needs nonnegative bundles", *words)
+            assert not (tmp_path / "o").exists()
+        linear = write_cfg(tmp_path, "c.json", {**fit, "family": {"linear": {"weight_steps": 4}}})
+        assert cli_main(["fit", "--config", linear, "--out", str(tmp_path / "o")]) == 0
 
 
 # One-field overrides of CLI_CONFIGS -> the field the one-line message names.
@@ -591,6 +607,12 @@ BAD_CONFIGS = [
                                                     "theta": 0.7}}}, "noise"),
     ("consistency", {"true_preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": 2.0, "kappa": 1}},
      "true_preference"),
+    # CES and Cobb-Douglas need nonnegative bundles, and a proposal lies in the domain
+    ("consistency", {"domain": NEG_BOX, "true_preference": {"kind": "linear", "weights": [0.5, 0.5]}}, "family"),
+    ("separation", {"domain": NEG_BOX, "family": {"cobb_douglas": {"weight_steps": 4}}}, "family"),
+    ("vc", {"domain": NEG_BOX, "family": CES_FAMILY}, "family"),
+    ("vc", {"family": CES_FAMILY, "proposals": [[[[-1.0, 0.5], [0.5, 0.5]]]]}, "proposals"),
+    ("vc", {"proposals": [[[[0.5, 0.5], [0.5, 1.5]]]]}, "proposals"),
 ]
 
 

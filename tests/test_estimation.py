@@ -318,13 +318,13 @@ class TestErmMatchesPerMemberLoop:
 
 @st.composite
 def sign_scorer_cases(draw):
-    """Linear or CES families with rhos of +-0.05 and +-20, records whose
-    magnitudes reach 1e+-150 (less for |rho| = 20, so every power stays
-    finite), swapped-coordinate exact ties, near ties a few ulps apart,
-    zeros, and a slab size small enough that one (kind, rho) group spans
-    several sign matmuls."""
+    """Linear, Cobb-Douglas or CES families with rhos of +-0.05 and +-20,
+    records whose magnitudes reach 1e+-150 (less for |rho| = 20, so every
+    power stays finite), swapped-coordinate exact ties, near ties a few ulps
+    apart, zeros, and a slab size small enough that one (kind, rho) group
+    spans several sign matmuls."""
     d = draw(st.integers(2, 3))
-    kind = draw(st.sampled_from(["linear", "ces"]))
+    kind = draw(st.sampled_from(["linear", "cobb_douglas", "ces"]))
     rhos = ()
     if kind == "ces":
         rhos = tuple(draw(st.lists(st.sampled_from([-20.0, -0.05, 0.05, 20.0]), min_size=1, max_size=3)))
@@ -354,6 +354,28 @@ class TestSignScorer:
         with mock.patch.object(estimation, "_SLAB_CELLS", cells):
             got = erm_fit(family, ds, refinements)
         assert got.to_dict() == reference_erm_fit(family, ds, refinements).to_dict()
+
+
+class TestSigns:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sign_scorer_cases())
+    def test_each_cell_is_the_sign_of_the_value_difference(self, case):
+        family, ds, _, cells = case
+        grid = family.members()
+        with np.errstate(all="ignore"):
+            values = [reference_values(u, x) for u in grid for x in (ds.chosen, ds.rejected)]
+        assume(all(np.all(np.isfinite(v)) for v in values))
+        with mock.patch.object(estimation, "_SLAB_CELLS", cells):
+            slabs = list(estimation._signs(grid, ds.chosen, ds.rejected))
+        members = np.concatenate([m for m, _ in slabs])
+        assert sorted(members) == list(range(len(grid)))
+        assert all(c.shape == (len(m), ds.n) and c.size <= max(cells, ds.n) for m, c in slabs)
+        got = np.empty((len(grid), ds.n))
+        for m, c in slabs:
+            got[m] = c
+        vx, vy = (np.array([*value_rows(grid, x)]) for x in (ds.chosen, ds.rejected))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(got, np.sign(vx - vy))
 
 
 class TestErmWork:
@@ -519,8 +541,9 @@ class TestSeparation:
         assert scan.rows == ()
 
 
-def reference_vc_lower_bound(family, domain, k, trials, seed):
-    """The per-problem draws and per-labeling loop the batched search replaced."""
+def reference_vc_lower_bound(family, domain, k, trials, seed, proposals=()):
+    """The per-problem draws and per-labeling loop the batched search replaced,
+    on every member's values."""
     members = family.members()
 
     def shattered(problems):
@@ -534,6 +557,8 @@ def reference_vc_lower_bound(family, domain, k, trials, seed):
         return True
 
     for k_try in range(k, 0, -1):
+        if any(len(c) == k_try and shattered(c) for c in proposals):
+            return k_try
         for t in range(trials):
             rng = np.random.default_rng([seed, k_try, t])
             if shattered([(domain.sample(rng), domain.sample(rng)) for _ in range(k_try)]):
@@ -551,6 +576,18 @@ VC_CASES = {
 }
 
 
+def tie_witnesses(domain):
+    """Candidate sets built on exact ties in the domain: a point against its
+    coordinates reversed, which a member with mirrored weights ranks equal, the
+    same pair halved or mirrored, which a homogeneous member ranks alike, and
+    the pair a few ulps apart."""
+    p = np.array([0.6, 0.3] if domain.dim == 2 else [0.4, 0.38, 0.36])
+    q = p[::-1]
+    assert domain.contains(p) and domain.contains(q)
+    tie, halved, mirrored, near = (p, q), (p / 2, q / 2), (q / 2, p / 2), (p, q * (1 + 2 * np.finfo(float).eps))
+    return [[tie], [near], [tie, halved], [tie, mirrored], [near, halved], [tie, halved, mirrored]]
+
+
 class TestVcLowerBound:
     @pytest.mark.parametrize("case", sorted(VC_CASES))
     def test_matches_the_per_problem_search(self, case):
@@ -558,6 +595,19 @@ class TestVcLowerBound:
         for seed in range(6):
             args = (family, domain, 1 + seed % 3, 4, seed)
             assert vc_lower_bound(*args) == reference_vc_lower_bound(*args)
+            for witness in tie_witnesses(domain):
+                want = reference_vc_lower_bound(*args, proposals=[witness])
+                assert vc_lower_bound(*args, proposals=[witness]) == want
+
+    def test_builds_no_utility_when_every_cell_is_decided(self):
+        # the benchmark's consistency family: 68 CES members on the cone
+        family = UtilityFamily("ces", CONE, 16, (0.5, 1.0, 2.0, 4.0))
+        built = []
+        check = WaldUtility.__post_init__
+        with mock.patch.object(WaldUtility, "__post_init__", lambda u: built.append(u) or check(u)):
+            got = vc_lower_bound(family, CONE, k=2, trials=10, seed=0)
+        assert len(family.members()) == 68 and built == []
+        assert got == reference_vc_lower_bound(family, CONE, 2, 10, 0)
 
     def test_singleton_family_is_zero(self):
         singleton = UtilityFamily("cobb_douglas", BOX, weight_steps=2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recovery_lab import estimation
 from recovery_lab.aa_prefs import (
     AAPreference,
     BernoulliIndex,
@@ -42,7 +43,7 @@ from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pairs
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
 from test_aa_prefs import kernel_pref, loop_act_value
-from test_acceptance import RECOVERY_CFGS
+from test_acceptance import CLI_CONFIGS, RECOVERY_CFGS
 
 IDENT = BernoulliIndex.identity()
 
@@ -686,6 +687,15 @@ class TestConsistencySweep:
         b = run_consistency(cfg, threads=8)
         assert a.csv_rows == b.csv_rows
         assert a.report.to_json() == b.report.to_json()
+
+
+class TestSeparationSweep:
+    def test_one_rho_per_pair(self):
+        cfg, calls = CLI_CONFIGS["separation"], []
+        rho = estimation.rho
+        with mock.patch.object(estimation, "rho", lambda *args: calls.append(args) or rho(*args)):
+            out = sweeps_module.run_separation(cfg)
+        assert len(calls) == cfg["n_pairs"] == 3 and [r for r, _, _ in out.csv_rows] == [rho(*a) for a in calls]
 
 
 class TestConvergenceSweeps:
