@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import comb
-from typing import Iterator
+
+import numpy as np
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -11,17 +13,18 @@ def composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield all compositions of ``total`` into ``parts`` nonnegative integers.
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All compositions of ``total`` into ``parts`` nonnegative integers, one per
+    row of an (N, parts) int array.
 
-    Order is lexicographically decreasing, so ``(total, 0, ..., 0)`` comes
-    first and ``(0, ..., 0, total)`` last.
+    Stars and bars: each choice of ``parts - 1`` bar slots among ``total + parts
+    - 1`` gives the gaps between bars.  ``combinations`` lists the choices in
+    increasing order, so the rows are reversed: order is lexicographically
+    decreasing, ``(total, 0, ..., 0)`` first and ``(0, ..., 0, total)`` last.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    n, slots = composition_count(total, parts), total + parts - 1
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)), int, n * (parts - 1))
+    gaps = np.diff(bars.reshape(n, parts - 1), axis=1, prepend=-1, append=slots) - 1
+    return gaps[::-1]

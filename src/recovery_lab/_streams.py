@@ -50,7 +50,7 @@ def _mulhi(a, b):
 
 def _jump(state, steps, inc):
     """State after ``steps`` LCG steps, broadcast over rows and columns."""
-    a_hi, a_lo, c_hi, c_lo = (t[steps] for t in _tables(1 << int(np.max(steps)).bit_length()))
+    a_hi, a_lo, c_hi, c_lo = (t[steps] for t in _tables(1 << int(np.max(steps, initial=0)).bit_length()))
     (s_hi, s_lo), (i_hi, i_lo) = state, inc
     hi = _mulhi(s_lo, a_lo) + s_hi * a_lo + s_lo * a_hi
     hi += _mulhi(i_lo, c_lo) + i_hi * c_lo + i_lo * c_hi
@@ -79,6 +79,7 @@ class Streams:
         generate = _hasher(0x8B51F9DD, 0x58F38DED)
         w = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
         s_hi, s_lo, i_hi, i_lo = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
+        del lanes, pool, w  # one Streams spans a dataset: free its hash words before the jump
         # pcg64 srandom: inc = 2 * initseq + 1, state = (inc + initstate) * MULT + inc
         inc = ((i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1)
         lo = inc[1] + s_lo

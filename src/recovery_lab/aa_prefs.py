@@ -133,10 +133,7 @@ class Prior:
 
 def simplex_grid(n_states: int, steps: int) -> list[Prior]:
     """Priors with weights that are multiples of 1/steps; default cost grids."""
-    return [
-        Prior(tuple(c / steps for c in counts))
-        for counts in compositions(steps, n_states)
-    ]
+    return [Prior(tuple(w)) for w in (compositions(steps, n_states) / steps).tolist()]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ parses one subcommand, with only the flags it acts on (--replicates where its
 table has ``replicates``, --threads where its handler takes threads, an
 integer >= 1 that RECOVERY_LAB_THREADS overrides).  Exit codes: 0 success,
 2 configuration or usage error (one ``config error:`` line), 3
-numerical-guard failure.
+numerical-guard failure or a size this host cannot allocate (one
+``numerical guard:`` line).
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0
     except NumericalGuardError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")
+        return 3
+    except MemoryError as exc:  # a size this host cannot allocate
+        sys.stderr.write(f"numerical guard: {str(exc) or 'out of memory'}\n")
         return 3
     except (OSError, RecoveryLabError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -19,6 +19,7 @@ from ..errors import ConfigError, NumericalGuardError
 from ..lotteries import Interval
 
 REQUIRED = object()
+RECORDS = 1 << 32  # most records in one dataset: record ids are 32-bit stream words
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ def need(ok: bool) -> None:
         raise ValueError
 
 
-def as_int(value, minimum: int) -> int:
-    need(type(value) is int and value >= minimum)  # a bool is not a count
+def as_int(value, minimum: int, maximum: float = float("inf")) -> int:
+    need(type(value) is int and minimum <= value <= maximum)  # a bool is not a count
     return value
 
 
@@ -71,14 +72,23 @@ def as_list(value, shortest: int, longest: float = float("inf")) -> list:
     return value
 
 
-def count(minimum: int, default=REQUIRED) -> Field:
-    return Field(f"an integer >= {minimum}", lambda v, got: as_int(v, minimum), default)
+def _bounds(minimum: int, maximum: float) -> str:
+    return f">= {minimum}" if maximum == float("inf") else f"in [{minimum}, {maximum}]"
 
 
-def counts(minimum: int) -> Field:
-    """A nonempty list of integers >= minimum, read in ascending order."""
-    must_be = f"a nonempty list of integers >= {minimum}"
-    return Field(must_be, lambda v, got: sorted(as_int(n, minimum) for n in as_list(v, 1)))
+def count(minimum: int, default=REQUIRED, maximum: float = float("inf")) -> Field:
+    must_be = f"an integer {_bounds(minimum, maximum)}"
+    return Field(must_be, lambda v, got: as_int(v, minimum, maximum), default)
+
+
+def counts(minimum: int, maximum: float = float("inf")) -> Field:
+    """A nonempty list of distinct integers in [minimum, maximum], read in ascending order."""
+    def read(value, got) -> list[int]:
+        ns = sorted(as_int(n, minimum, maximum) for n in as_list(value, 1))
+        need(len(set(ns)) == len(ns))  # a repeat would run and report its cell twice
+        return ns
+
+    return Field(f"a nonempty list of distinct integers {_bounds(minimum, maximum)}", read)
 
 
 def number(must_be: str, ok: Callable[[float], bool], default=REQUIRED) -> Field:

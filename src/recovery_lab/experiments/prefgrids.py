@@ -7,8 +7,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .._combinatorics import compositions
 from .._jsonio import count_field, descriptor, number_field
-from ..aa_prefs import AAPreference, BernoulliIndex, CostFunction, Prior, simplex_grid
+from ..aa_prefs import AAPreference, BernoulliIndex, CostFunction, Prior
 from ..errors import ShapeMismatchError
 from ..lotteries import Interval
 
@@ -81,12 +82,13 @@ def eu_grid(states: int, interval: Interval, prior_steps: int, knot_positions: l
             value_steps: int) -> PrefGrid:
     """Expected-utility candidates: prior lattice x index-value lattice.
 
-    Priors are ``simplex_grid(states, prior_steps)`` (one state: the trivial
-    prior).  Order is deterministic: priors in lexicographic order, indices
+    Prior rows are the weights of ``simplex_grid(states, prior_steps)``, read
+    straight from the composition array (one state: the trivial prior).  Order
+    is deterministic: priors in lexicographically decreasing order, indices
     within.  Each index is built once, and no member until it is asked for.
     """
     indices = index_value_grid(interval, knot_positions, value_steps)
-    priors = np.array([p.weights for p in simplex_grid(states, prior_steps)])
+    priors = compositions(prior_steps, states) / prior_steps
     return PrefGrid(indices, np.tile(np.arange(len(indices)), len(priors)),
                     np.repeat(priors, len(indices), axis=0)[:, None],
                     np.zeros((len(priors) * len(indices), 1)))

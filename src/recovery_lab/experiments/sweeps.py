@@ -55,6 +55,7 @@ from ..wald_env import (
 )
 from .config import (
     INTERVAL,
+    RECORDS,
     SCHEDULE,
     Field,
     as_float,
@@ -195,7 +196,7 @@ def _output(command: str, cfg: dict, seeds: dict, notes: list[str], cells: list[
 # ---------------------------------------------------------------------------
 
 
-GEN_FIELDS = fields(n=count(0), domain=DOMAIN, noise=NOISE, preference=PREFERENCE)
+GEN_FIELDS = fields(n=count(0, maximum=RECORDS), domain=DOMAIN, noise=NOISE, preference=PREFERENCE)
 
 
 def run_gen(cfg: dict) -> SweepOutput:
@@ -233,7 +234,7 @@ def run_fit(cfg: dict) -> SweepOutput:
 
 
 CONSISTENCY_FIELDS = fields(
-    domain=DOMAIN, family=FAMILY, noise=NOISE, true_preference=PREFERENCE, n_grid=counts(1),
+    domain=DOMAIN, family=FAMILY, noise=NOISE, true_preference=PREFERENCE, n_grid=counts(1, RECORDS),
     replicates=count(1, 5),
     eval_steps=Field("an integer >= 1 whose lattice holds >= 2 domain points", _eval_steps, 16),
     delta=number("a number in (0, 1]", lambda x: 0 < x <= 1, 0.1), exponent_d=EXPONENT,

@@ -270,9 +270,6 @@ def enumerate_rational_lotteries(
         raise EnumerationCapError(
             f"truncation level too fine: {n} lotteries exceeds cap {max_count}"
         )
-    grid = rational_grid(interval, grid_count)
-    out = []
-    for counts in compositions(denominator_bound, grid_count):
-        probs = [c / denominator_bound for c in counts]
-        out.append(lottery(interval, grid.tolist(), probs))
-    return out
+    grid = rational_grid(interval, grid_count).tolist()
+    masses = compositions(denominator_bound, grid_count) / denominator_bound
+    return [lottery(interval, grid, probs) for probs in masses.tolist()]

@@ -30,8 +30,7 @@ from ._streams import Streams
 from .errors import DatasetFormatError, RejectionCapError, ShapeMismatchError
 from .wald_env import CAP_MESSAGE, MAX_TRIES, BoxDomain, Domain, WaldUtility, domain_from_dict
 
-_CHUNK = 1024  # records generated per batch
-_ROUND = 1 << 15  # most doubles one rejection round looks ahead
+_ROUND = 1 << 13  # most doubles one rejection round looks ahead: 1,024 rows of a 2-d cone's first round
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ def sample_problem(domain: Domain, rng: np.random.Generator) -> tuple[np.ndarray
 
 
 def _draw_pairs(domain: Domain, streams: Streams, m: int):
-    """x, y and the flip uniform of m records, read in the scalar sampler's order."""
+    """Points (2, m, d), x then y, and the flip uniform of m records, read in the
+    scalar sampler's order."""
     box, d = isinstance(domain, BoxDomain), domain.dim
     # a box try is lo + (hi - lo) * u; a cone try is M * u, kept if contains_batch accepts it
     lo, span = (domain._lo, domain._hi - domain._lo) if box else (0.0, domain.M)
@@ -162,7 +162,7 @@ def _draw_pairs(domain: Domain, streams: Streams, m: int):
             raise RejectionCapError(CAP_MESSAGE.format(MAX_TRIES))
         pos[rows] += np.where(hit, first + 1, tries) * d
         pending = np.flatnonzero(found < 2)
-    return pts[0], pts[1], streams.read(np.arange(m), pos[:, None])[:, 0]
+    return pts, streams.read(np.arange(m), pos[:, None])[:, 0]
 
 
 def generate_dataset(
@@ -175,14 +175,10 @@ def generate_dataset(
     """Simulate n problems; chosen = x with probability q(x, y), else y."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    chosen, rejected = np.empty((2, n, domain.dim))
-    for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
-        x, y, flip = _draw_pairs(domain, Streams(seed, np.arange(start, start + m)), m)
-        v = pref.value_batch(np.concatenate([x, y]))
-        keep = (flip < q_eval_batch(noise, v[:m], v[m:]))[:, None]
-        chosen[start : start + m] = np.where(keep, x, y)
-        rejected[start : start + m] = np.where(keep, y, x)
+    pts, flip = _draw_pairs(domain, Streams(seed, np.arange(n)), n)
+    v = pref.value_batch(pts.reshape(2 * n, domain.dim))
+    swap = ~(flip < q_eval_batch(noise, v[:n], v[n:]))  # records where y is chosen
+    pts[:, swap] = pts[::-1, swap]  # chosen first, in place: the dataset is one block
     meta = {
         "format": "choice-dataset/1",
         "domain": domain.to_dict(),
@@ -191,7 +187,7 @@ def generate_dataset(
         "seed": list(seed) if isinstance(seed, (list, tuple)) else seed,
         "n": n,
     }
-    return Dataset(chosen, rejected, meta)
+    return Dataset(pts[0], pts[1], meta)
 
 
 def dataset_text(ds: Dataset) -> str:

@@ -351,8 +351,8 @@ class UtilityFamily:
         size = composition_count(self.weight_steps, self.dim) * max(1, len(self.rho_grid))
         if size > MAX_LATTICE_POINTS:
             raise EnumerationCapError(f"family grid too big: {size} members exceeds cap {MAX_LATTICE_POINTS}")
-        counts = np.array([*compositions(self.weight_steps, self.dim)], dtype=float)
-        counts = counts[(counts > 0.0).all(axis=1) | (self.kind != COBB_DOUGLAS)]
+        counts = compositions(self.weight_steps, self.dim)
+        counts = counts[(counts > 0).all(axis=1) | (self.kind != COBB_DOUGLAS)]
         return WaldGrid(self.kind, sorted(self.rho_grid) or [None], counts / self.weight_steps)
 
     def refine_around(self, member: WaldUtility, level: int) -> "WaldGrid":

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from recovery_lab.errors import ConfigError
 from recovery_lab.experiments import cli, sweeps
 from recovery_lab.experiments.cli import cli_main
+from recovery_lab.experiments.config import read_fields
 from recovery_lab.experiments.report import RunReport, SweepOutput
 from test_acceptance import CLI_CONFIGS
 from test_noisy_choice import BAD_RECORDS, GOOD_RECORD
@@ -102,6 +103,29 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err == "numerical guard: lattice too fine: 410338673 grid points exceeds cap 2000000\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 29.1 TiB for an array with shape (1000000000000, 2, 2)"),
+         "numerical guard: Unable to allocate 29.1 TiB for an array with shape (1000000000000, 2, 2)\n"),
+        (MemoryError(), "numerical guard: out of memory\n"),
+    ])
+    def test_a_size_too_big_to_allocate_is_one_guard_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        # stands in for gen at n = 10**12, nonid at m = 10**12 or recovery at
+        # disagreement_m = 10**12, which raise numpy's MemoryError on a small host
+        def handler(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli._REGISTRY, "gen", (handler, sweeps.GEN_FIELDS, False))
+        path = write_cfg(tmp_path, "g.json", CLI_CONFIGS["gen"])
+        assert cli_main(["gen", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "o").exists()
+
+    def test_record_counts_reach_two_to_the_32(self):
+        # the bound is inclusive: ids 0 .. 2**32 - 1; reading the fields allocates nothing
+        assert read_fields({**CLI_CONFIGS["gen"], "n": 2**32}, sweeps.GEN_FIELDS).n == 2**32
+        cfg = {**CLI_CONFIGS["consistency"], "n_grid": [2**32, 1]}
+        assert read_fields(cfg, sweeps.CONSISTENCY_FIELDS).n_grid == [1, 2**32]
 
     # CES at a large negative rho overflows x**rho near the origin: at -400 on
     # the eval lattice (once a NaN traceback), at -200 on sampled points (once
@@ -577,6 +601,13 @@ BAD_CONFIGS = [
     ("recovery", {"replicates": True}, "replicates"),
     ("gen", {"n": 1.5}, "n"),
     ("gen", {"n": "7"}, "n"),
+    # record ids are 32-bit stream words: at most 2**32 records in one dataset
+    ("gen", {"n": 2**32 + 1}, "n"),
+    ("consistency", {"n_grid": [100, 2**32 + 1]}, "n_grid"),
+    # a repeated count would run and report its cell twice
+    ("consistency", {"n_grid": [40, 40]}, "n_grid"),
+    ("recovery", {"k_grid": [5, 5, 15]}, "k_grid"),
+    ("bound", {"n_grid": [100, 10, 100]}, "n_grid"),
     # counts inside descriptors are checked, not truncated
     ("consistency", {"domain": {"cone": {"alpha": 0.1, "M": 1.0, "d": 2.5}}}, "domain"),
     ("gen", {"domain": {"cone": {"alpha": 0.1, "M": 1.0, "d": 2.5}}}, "domain"),

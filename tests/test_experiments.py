@@ -583,9 +583,10 @@ def recovery_configs(draw):
         "value_steps": draw(st.integers(len(knots) + 1, 8)),
     }
     n_candidates = len(grid_from_config({"eu_grid": grid}, UNIT))
-    k_grid = draw(st.lists(st.integers(0, last), min_size=1, max_size=4))
-    # a first cell of 0 or 1 keeps all or most candidates alive past it
-    k_grid += draw(st.sampled_from([[], [0], [last], [0, last], [1], [1, last]]))
+    k_grid = draw(st.lists(st.integers(0, last), min_size=1, max_size=4, unique=True))
+    # a first cell of 0 or 1 keeps all or most candidates alive past it; k_grid refuses a repeat
+    extra = draw(st.sampled_from([[], [0], [last], [0, last], [1], [1, last]]))
+    k_grid += [k for k in extra if k not in k_grid]
     return {
         "version": 1,
         "seed": draw(st.integers(0, 2**32)),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from recovery_lab import _jsonio
+from recovery_lab import _jsonio, noisy_choice
 from recovery_lab.errors import DatasetFormatError, ShapeMismatchError
 from recovery_lab.experiments.cli import cli_main
 from recovery_lab.noisy_choice import (
@@ -454,6 +454,16 @@ class TestBatchMatchesScalarLoop:
         pref = WaldUtility("linear", (0.5, 0.5))
         args = (cone, pref, BoundedResponse(0.6, 0.9, 0.5), 300, [8, 9])
         assert dataset_text(generate_dataset(*args)) == dataset_text(reference_dataset(*args))
+
+    @pytest.mark.parametrize("round_size", [8, 64, 1 << 15])
+    @pytest.mark.parametrize("domain_name", sorted(SETTINGS))
+    def test_bytes_do_not_depend_on_the_round_size(self, monkeypatch, domain_name, round_size):
+        # _ROUND, the most doubles one rejection round reads, is the only batching bound
+        domain, pref = SETTINGS[domain_name]
+        noise, seed = NOISES["bounded"]
+        want = dataset_text(generate_dataset(domain, pref, noise, 1100, seed))
+        monkeypatch.setattr(noisy_choice, "_ROUND", round_size)
+        assert dataset_text(generate_dataset(domain, pref, noise, 1100, seed)) == want
 
     @settings(max_examples=15, deadline=None)
     @given(small=st.integers(1000, 1100), extra=st.integers(0, 1100), seed=st.integers(0, 2**40))
