@@ -1,14 +1,15 @@
 """Counter-based record streams: ``default_rng([*seed, i])`` for many ids at once.
 
 Numpy's ``SeedSequence`` hashing runs on uint32 lanes and the PCG64 state on
-uint64 (hi, lo) limbs; double j of a stream is read from ``MULT**j * state +
-(1 + ... + MULT**(j-1)) * inc`` via tables, bit for bit as numpy draws it.
+uint64 (hi, lo) limbs.  Each stream keeps its state, and a read steps it forward
+from where that stream stopped: the state m steps on is ``MULT**m * state +
+(1 + ... + MULT**(m-1)) * inc``, one 128-bit product by a constant per double,
+so a stream's doubles are computed once each, bit for bit as numpy draws them.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -31,16 +32,6 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-@lru_cache(maxsize=None)
-def _tables(size: int):
-    """Limbs (hi, lo) of MULT**j and 1 + ... + MULT**(j-1) for j = 0..size."""
-    a, c, rows = 1, 0, []
-    for _ in range(size + 1):
-        rows.append((a >> 64, a & _M64, c >> 64, c & _M64))
-        a, c = a * _MULT & _M128, (c * _MULT + 1) & _M128
-    return [np.array(col, np.uint64) for col in zip(*rows)]
-
-
 def _mulhi(a, b):
     """High word of the 128-bit product of uint64 words, from 32-bit halves."""
     a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
@@ -48,18 +39,39 @@ def _mulhi(a, b):
     return a1 * b1 + (m1 >> 32) + (a0 * b1 + (m1 & _M32) >> 32)
 
 
-def _jump(state, steps, inc):
-    """State after ``steps`` LCG steps, broadcast over rows and columns."""
-    a_hi, a_lo, c_hi, c_lo = (t[steps] for t in _tables(1 << int(np.max(steps, initial=0)).bit_length()))
-    (s_hi, s_lo), (i_hi, i_lo) = state, inc
-    hi = _mulhi(s_lo, a_lo) + s_hi * a_lo + s_lo * a_hi
-    hi += _mulhi(i_lo, c_lo) + i_hi * c_lo + i_lo * c_hi
-    lo1, lo2 = s_lo * a_lo, i_lo * c_lo
-    return hi + (lo1 + lo2 < lo1), lo1 + lo2
+def _times(x, a: int):
+    """Limbs of a * x mod 2**128, for limbs x and a Python int a."""
+    (x_hi, x_lo), a_hi, a_lo = x, np.uint64(a >> 64), np.uint64(a & _M64)
+    return _mulhi(x_lo, a_lo) + x_hi * a_lo + x_lo * a_hi, x_lo * a_lo
+
+
+def _plus(x, y):
+    """Limbs of x + y mod 2**128."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < x[1]), lo
+
+
+def _walk(state, inc, k: int):
+    """Limbs (hi, lo), shape (k, rows), of the states 1..k LCG steps past ``state``.
+
+    Row 0 holds the state; once m rows are filled, the next m are those stepped
+    m on by the constant pair (MULT**m, 1 + ... + MULT**(m-1)), so k states take
+    about log2(k) rounds of array work and one product each."""
+    hi, lo = np.empty((2, k + 1, len(state[0])), np.uint64)
+    hi[0], lo[0] = state
+    a, c, m = _MULT, 1, 1
+    while m <= k:
+        w = min(m, k + 1 - m)
+        hi[m : m + w], lo[m : m + w] = _plus(_times((hi[:w], lo[:w]), a), _times(inc, c))
+        a, c, m = a * a & _M128, c * (a + 1) & _M128, 2 * m
+    return hi[1:], lo[1:]
 
 
 class Streams:
-    """PCG64 (state, inc) limbs of ``default_rng([*seed, id])`` for ids in [0, 2**32)."""
+    """PCG64 (state, inc) limbs of ``default_rng([*seed, id])`` for ids in [0, 2**32).
+
+    ``read`` gives doubles at offsets from where each stream stands, and
+    ``advance`` then moves the streams of that read past the doubles they used."""
 
     def __init__(self, seed, ids: np.ndarray):
         if ids.size and (ids.min() < 0 or ids.max() > _M32):
@@ -79,15 +91,28 @@ class Streams:
         generate = _hasher(0x8B51F9DD, 0x58F38DED)
         w = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
         s_hi, s_lo, i_hi, i_lo = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
-        del lanes, pool, w  # one Streams spans a dataset: free its hash words before the jump
+        del lanes, pool, w  # one Streams spans a dataset: free its hash words before the step
         # pcg64 srandom: inc = 2 * initseq + 1, state = (inc + initstate) * MULT + inc
         inc = ((i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1)
         lo = inc[1] + s_lo
-        self.state, self.inc = _jump((inc[0] + s_hi + (lo < s_lo), lo), 1, inc), inc
+        self.state, self.inc = _plus(_times((inc[0] + s_hi + (lo < s_lo), lo), _MULT), inc), inc
+        self._last = None
 
-    def read(self, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Doubles number ``at`` (0-based, shape (len(rows), k)) of streams ``rows``."""
-        state, inc = (tuple(w[rows, None] for w in p) for p in (self.state, self.inc))
-        hi, lo = _jump(state, at + 1, inc)
+    def read(self, rows: np.ndarray, at) -> np.ndarray:
+        """Doubles at offsets ``at`` (broadcast to shape (len(rows), k); offset 0 is
+        the next double) of streams ``rows``, which stay where they stand."""
+        at = np.asarray(at)
+        state, inc = (tuple(w[rows] for w in p) for p in (self.state, self.inc))
+        hi, lo = _walk(state, inc, int(at.max(initial=-1)) + 1)
+        self._last = rows, hi, lo
         x, rot = hi ^ lo, hi >> 58  # XSL-RR output
-        return ((x >> rot | x << (64 - rot & 63)) >> 11) * (1.0 / 9007199254740992.0)
+        u = ((x >> rot | x << (64 - rot & 63)) >> 11) * (1.0 / 9007199254740992.0)
+        return u[at, np.arange(len(rows))[:, None]]
+
+    def advance(self, used: np.ndarray) -> None:
+        """Move stream ``rows[i]`` of the last read past its next ``used[i]`` doubles,
+        1 <= used[i] <= the k that read computed."""
+        rows, hi, lo = self._last
+        for w, block in zip(self.state, (hi, lo)):
+            w[rows] = block[used - 1, np.arange(len(rows))]
+        self._last = None

@@ -100,9 +100,10 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
     _check_record_dim(ds, family.dim)
     scores: list[float] = []
     best, best_row, best_score = None, None, -math.inf
+    bands: dict = {}  # rho -> its _band over the records, which a refinement level reuses
     for level in range(refinements + 1):
         grid, won = (family.refine_around(best, level) if level else members), None
-        for r, (row, s) in enumerate(zip(grid.params.tolist(), _scores(grid, ds).tolist())):
+        for r, (row, s) in enumerate(zip(grid.params.tolist(), _scores(grid, ds, bands).tolist())):
             if level and row == best_row:
                 continue
             scores.append(s)
@@ -122,25 +123,37 @@ def erm_fit(family: UtilityFamily, ds: Dataset, refinements: int = 2) -> ErmResu
 _SLAB_CELLS = 1 << 16  # member x pair cells per sign matmul, which bounds its memory
 
 
-def _scores(grid: WaldGrid, ds: Dataset) -> np.ndarray:
-    """``score_from_values`` of each member of grid over ds: its share of records of sign >= 0."""
+def _scores(grid: WaldGrid, ds: Dataset, bands: dict) -> np.ndarray:
+    """``score_from_values`` of each member of grid over ds: its share of records of sign >= 0.
+
+    ``bands`` (rho -> ``_band`` over ds) keeps only the rho groups that hold the
+    best score so far, so the next level finds its incumbent's there."""
     scores = np.ones(len(grid))  # the empty dataset's
     if ds.n:
-        for members, cells in _signs(grid, ds.chosen, ds.rejected):
+        group_best: dict = {}
+        for members, cells in _signs(grid, ds.chosen, ds.rejected, bands):
             scores[members] = (cells >= 0).sum(axis=1, dtype=np.int32) / ds.n
+            rho = grid.rhos[grid.rho_of[members[0]]]
+            group_best[rho] = max(group_best.get(rho, -1.0), scores[members].max())
+            top = max(group_best.values())
+            for r in [r for r in bands if r != rho and group_best.get(r, -1.0) < top]:
+                del bands[r]
     return scores
 
 
-def _signs(grid: WaldGrid, xs: np.ndarray, ys: np.ndarray):
+def _signs(grid: WaldGrid, xs: np.ndarray, ys: np.ndarray, bands: dict | None = None):
     """Yield ``(members, cells)`` slabs over grid of at most ``_SLAB_CELLS`` cells:
     cells[i, j] is the sign (-1, 0 or +1) of v(xs[j]) - v(ys[j]) for member
     members[i], v its ``value_rows`` values, over n >= 1 pairs.  Outside the band
     of ``_band`` that is the sign of g; a member with a cell inside it is valued
-    through ``value_rows``, so 0 means an exact tie."""
-    step = max(1, _SLAB_CELLS // len(xs))
+    through ``value_rows``, so 0 means an exact tie.  ``bands`` keeps each rho's
+    ``_band`` over these pairs for a later grid over the same pairs."""
+    step, bands = max(1, _SLAB_CELLS // len(xs)), {} if bands is None else bands
     for k, rho in enumerate(grid.rhos):
         group = np.flatnonzero(grid.rho_of == k)
-        diff, band = _band(grid.kind, rho, xs, ys)
+        if rho not in bands:
+            bands[rho] = _band(grid.kind, rho, xs, ys)
+        diff, band = bands[rho]
         for start in range(0, len(group), step):
             members = group[start : start + step]
             g = grid.weights[members] @ diff

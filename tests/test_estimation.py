@@ -407,6 +407,18 @@ class TestErmWork:
             got = erm_fit(family, ds, refinements=2)
         assert got.search_log["evaluated"] > 1300 and 1 <= len(built) <= 3
 
+    def test_builds_each_rho_band_once(self):
+        # perfbench's consistency family: each refinement level reuses the
+        # incumbent rho's (diff, band) and builds only its two midpoints'
+        cone = ConeDomain(0.1, 1.0, 2)
+        ds = generate_dataset(cone, WaldUtility("ces", (0.4375, 0.5625), 2.0), ConstantFlip(0.75), 400, 2)
+        family = UtilityFamily("ces", cone, 16, (0.5, 1.0, 2.0, 4.0))
+        rhos, band = [], estimation._band
+        with mock.patch.object(estimation, "_band", lambda kind, r, xs, ys: rhos.append(r) or band(kind, r, xs, ys)):
+            got = erm_fit(family, ds, refinements=2)
+        assert len(rhos) == len(set(rhos)) == 8
+        assert got.to_dict() == reference_erm_fit(family, ds).to_dict()
+
     def test_int_rhos_stay_ints(self):
         family = UtilityFamily("ces", BOX, 4, (2, -1, 1))
         grid = family.members()

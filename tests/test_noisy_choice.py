@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,7 +200,13 @@ BAD_RECORDS = [
     '{"chosen": [0.5, 0.25]}',
     "[0.5, 0.25]",
     '{"chosen": [0.5, 0.25], "rejected": [0.25, 0.5]',
+    # a record holds the keys chosen and rejected, once each
+    '{"chosen": [0.5, 0.5], "chosen": [0.1, 0.1], "rejected": [0.2, 0.1]}',
+    '{"chosen": [0.5, 0.25], "rejected": [0.25, 0.5], "x": 1}',
 ]
+BOX_META = {"format": "choice-dataset/1", "domain": BOX.to_dict()}
+# a meta domain lets the bulk parse try first; the per-line path names the line
+EITHER_META = pytest.mark.parametrize("meta", [{"format": "choice-dataset/1"}, BOX_META], ids=["no-domain", "domain"])
 
 
 class TestSerialization:
@@ -253,10 +260,11 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError):
             read_dataset(p)
 
+    @EITHER_META
     @pytest.mark.parametrize("bad", BAD_RECORDS)
-    def test_malformed_record_names_its_line(self, tmp_path, bad):
+    def test_malformed_record_names_its_line(self, tmp_path, bad, meta):
         p = tmp_path / "ds.jsonl"
-        p.write_text(f'{{"format": "choice-dataset/1", "n": 2}}\n{GOOD_RECORD}\n{bad}\n')
+        p.write_text(f'{json.dumps({**meta, "n": 2})}\n{GOOD_RECORD}\n{bad}\n')
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
         assert err.value.line == 3
@@ -350,6 +358,29 @@ def finite_datasets(draw):
     return Dataset(rows[:, :d], rows[:, d:], {"format": "choice-dataset/1", "n": n, "x": 0.5})
 
 
+@st.composite
+def written_datasets(draw):
+    """Datasets under a box meta line of their dimension, their values the
+    writer's hardest: edge values, random bit patterns, subnormals, and
+    integral values on both sides of format_float's 1e16 cut."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    value = st.one_of(
+        st.sampled_from(EDGE_FLOATS),
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.integers(-(2 * 10**16), 2 * 10**16).map(float),
+        st.integers(-64, 64).map(lambda k: 1e16 + 2.0 * k),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=2 * d, max_size=2 * d), min_size=n, max_size=n))
+    rows = np.array(rows, dtype=float).reshape(n, 2 * d)
+    meta = {"format": "choice-dataset/1", "n": n, "domain": BoxDomain.unit(d).to_dict()}
+    return Dataset(rows[:, :d], rows[:, d:], meta)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestBulkJsonl:
     @settings(max_examples=200, deadline=None)
     @given(ds=finite_datasets())
@@ -371,19 +402,21 @@ class TestBulkJsonl:
         with pytest.raises(ValueError, match="record 2 "):
             dataset_text(ds)
 
+    @EITHER_META
     @pytest.mark.parametrize("bad", JOIN_HIDDEN)
-    def test_line_the_joined_body_hides_is_named(self, tmp_path, bad):
+    def test_line_the_joined_body_hides_is_named(self, tmp_path, bad, meta):
         p = tmp_path / "ds.jsonl"
-        p.write_text(f'{{"format": "choice-dataset/1", "n": 3}}\n{GOOD_RECORD}\n{bad}\n{GOOD_RECORD}\n')
+        p.write_text(f'{json.dumps({**meta, "n": 3})}\n{GOOD_RECORD}\n{bad}\n{GOOD_RECORD}\n')
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
         assert err.value.line == 3 and "line 3" in str(err.value)
 
+    @EITHER_META
     @pytest.mark.parametrize("lines", SPLIT_RECORDS)
-    def test_record_split_over_two_lines_is_named(self, tmp_path, lines):
+    def test_record_split_over_two_lines_is_named(self, tmp_path, lines, meta):
         p = tmp_path / "ds.jsonl"
         body = "".join(line + "\n" for line in lines)
-        p.write_text(f'{{"format": "choice-dataset/1", "n": {len(lines)}}}\n{body}')
+        p.write_text(f'{json.dumps({**meta, "n": len(lines)})}\n{body}')
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
         assert err.value.line == 2 and "line 2" in str(err.value)
@@ -399,6 +432,35 @@ class TestBulkJsonl:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(p)
         assert err.value.line == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=written_datasets())
+    def test_bulk_parse_equals_the_per_line_path(self, tmp_path_factory, ds):
+        text = dataset_text(ds)
+        d = ds.chosen.shape[1]
+        body = text.partition("\n")[2]
+        with mock.patch.object(noisy_choice, "_ONCE", ""):  # the pattern before Python 3.11
+            plain = noisy_choice._written_records(body, d)
+        assert plain is not None and same_bits(plain, noisy_choice._written_records(body, d))
+        padded = text.replace("]}\n", "]} \n")  # other whitespace: the writer's grammar no longer matches
+        assert noisy_choice._written_records(padded.partition("\n")[2], d) is None or ds.n == 0
+        bulk, per_line = tmp_path_factory.mktemp("ds") / "bulk.jsonl", tmp_path_factory.mktemp("ds") / "lines.jsonl"
+        bulk.write_text(text)
+        per_line.write_text(padded)
+        for got in (read_dataset(bulk), read_dataset(per_line)):
+            assert same_bits(got.chosen, ds.chosen) and same_bits(got.rejected, ds.rejected)
+            assert got.meta == ds.meta
+
+    # a JSON integer of 30 digits, and "-0", which JSON reads as the integer 0
+    @pytest.mark.parametrize("token, value", [("1" + "0" * 29, 1e29), ("-0", 0.0)])
+    def test_integer_token_the_writer_never_writes_takes_the_per_line_path(self, tmp_path, token, value):
+        body = f'{{"chosen": [{token}, 0.5], "rejected": [0.25, 0.5]}}\n'
+        for once in ("", "+"):  # the pattern before and from Python 3.11
+            with mock.patch.object(noisy_choice, "_ONCE", once):
+                assert noisy_choice._written_records(body, 2) is None
+        p = tmp_path / "ds.jsonl"
+        p.write_text(f'{json.dumps({**BOX_META, "n": 1})}\n{body}')
+        assert same_bits(read_dataset(p).chosen[:, :1], np.array([[value]]))
 
 
 def reference_dataset(domain, pref, noise, n, seed) -> Dataset:

@@ -75,3 +75,12 @@ def test_rejects_ids_outside_one_word():
     for ids in ([-1], [2**32]):
         with pytest.raises(ValueError):
             Streams(0, np.array(ids, dtype=np.int64))
+
+
+def test_advance_moves_each_stream_past_what_it_used():
+    streams = Streams([4, 5], np.array([0, 7, 9]))
+    streams.read(np.array([2, 0]), np.arange(6))
+    streams.advance(np.array([5, 1]))
+    got = streams.read(np.array([0, 2]), np.arange(3))
+    assert np.array_equal(got[0], numpy_doubles([4, 5], 0, 4)[1:])
+    assert np.array_equal(got[1], numpy_doubles([4, 5], 9, 8)[5:])
