@@ -56,12 +56,8 @@ def quantile_stats(values) -> dict:
     arr = np.asarray(sorted(float(v) for v in values))
     if arr.size == 0:
         return {"count": 0}
-    return {
-        "count": int(arr.size),
-        "q25": float(np.percentile(arr, 25)),
-        "q50": float(np.percentile(arr, 50)),
-        "q75": float(np.percentile(arr, 75)),
-    }
+    q25, q50, q75 = np.percentile(arr, [25, 50, 75]).tolist()
+    return {"count": int(arr.size), "q25": q25, "q50": q50, "q75": q75}
 
 
 def csv_text(header: str, rows: list[list]) -> str:

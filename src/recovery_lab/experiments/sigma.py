@@ -145,9 +145,12 @@ def universe_values(prefs, sigma: SigmaSequence, acts=None) -> np.ndarray:
 def choice_codes(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Choice codes of the pairs (k, 2) under act values (..., m), shape (..., k):
     0 when the two values tie within ``VALUE_TIE_TOL``, 1 when the first act is
-    chosen and 2 when the second is."""
-    d = values[..., pairs[:, 0]] - values[..., pairs[:, 1]]
-    return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
+    chosen and 2 when the second is.  The pairs' values are gathered as rows of
+    a contiguous (m, ...) transpose, which is far cheaper than a strided gather
+    along the last axis, and coded with two comparisons."""
+    t = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    d = t[pairs[:, 0]] - t[pairs[:, 1]]
+    return np.moveaxis((d > VALUE_TIE_TOL) + 2 * (d < -VALUE_TIE_TOL), 0, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ thread count.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -209,7 +210,7 @@ def run_gen(cfg: dict) -> SweepOutput:
 
 
 FIT_FIELDS = fields(
-    refinements=count(0, 2),
+    refinements=count(0, 2, maximum=64),  # from about level 53 a move changes no weight >= 1/2
     dataset=Field("the path of a JSONL choice dataset", lambda v, got: read_dataset(v)),
     domain=Field("a domain descriptor (default: the dataset's)", _fit_domain, None),
     family=Field(FAMILY.must_be, lambda v, got: _family(v, got, (got.dataset.chosen, got.dataset.rejected))),
@@ -293,7 +294,7 @@ def run_consistency(cfg: dict, threads: int = 1) -> SweepOutput:
     ]
     ns = [float(n) for n in n_grid]
     series = {
-        "median rho": (ns, [quantile_stats(by_n[n])["q50"] for n in n_grid]),
+        "median rho": (ns, [c["q50"] for c in cells]),
         "bound": (ns, [bound_eval(bp, n) for n in n_grid]),
     }
     seeds = {"seed": seed, "cell_seed_rule": "[seed, n, replicate]"}
@@ -318,17 +319,23 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
     f = read_fields(cfg, RECOVERY_FIELDS)
     (den, gc), k_grid, seed, candidates = f.truncation, f.k_grid, f.seed, f.candidates
     true_u = candidates.indices[candidates.index_of[f.true_index]]
-    m_universe = build_sigma(f.states, f.interval, den, gc, k=1).universe_size
+    # a k=0 cell is a vacuous constraint; the pairs depend only on the universe
+    # size and k, so each replicate permutes the act rows of this one sigma
+    base = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1))
+    m_universe = base.universe_size
 
     def one_replicate(rep: int):
         perm = np.random.default_rng([seed, rep]).permutation(m_universe)
-        # a k=0 cell is a vacuous constraint
-        sig = build_sigma(f.states, f.interval, den, gc, k=max(k_grid[-1], 1), permutation=perm)
+        act_indices = base.act_indices[perm]
+        act_indices.flags.writeable = False
+        sig = dataclasses.replace(base, act_indices=act_indices)
         rng2 = np.random.default_rng([seed, rep, 1])
         ii = rng2.integers(0, m_universe, f.disagreement_m)
         jj = rng2.integers(0, m_universe, f.disagreement_m)
         # Survivors nest as k grows.  Every candidate is valued on the first
-        # cell's acts only, and the few alive after it get full rows: each
+        # cell's acts only and codes its first few pairs; each later block of
+        # the cell's pairs is coded only for the rows still alive (survival is
+        # an AND over pairs).  The few alive after the cell get full rows: each
         # later cell codes its new pairs on those, and the per-row statistics
         # are computed once.  No entry depends on its batch, so all of these
         # are entries of the one full (candidates, acts) table.
@@ -336,7 +343,9 @@ def run_recovery(cfg: dict, threads: int = 1) -> SweepOutput:
         acts = np.unique(first)
         v_first, cols = universe_values(candidates, sig, acts), np.searchsorted(acts, first)
         want = choice_codes(v_first[f.true_index], cols)
-        alive = np.flatnonzero(np.all(choice_codes(v_first, cols) == want, axis=1))
+        alive = np.arange(len(v_first))
+        for block in (slice(0, 4), slice(4, 16), slice(16, None)):
+            alive = alive[np.all(choice_codes(v_first[alive], cols[block]) == want[block], axis=1)]
         values = universe_values(candidates[alive], sig)
         v_true = values[np.searchsorted(alive, f.true_index)]  # the truth survives its own choices
         d_true = v_true[ii] - v_true[jj]
@@ -434,7 +443,7 @@ def _sequence_family(kind: str):
 
 
 THEOREM2_FIELDS = fields(
-    kind=choice("all", *KINDS, default="all"), k_max=count(0, 12),
+    kind=choice("all", *KINDS, default="all"), k_max=count(0, 12, maximum=1074),  # 2**-k is 0 beyond 1074
     act_truncation=truncation({"denominator_bound": 2, "grid_count": 3}), z_steps=count(1, 8),
 )
 
@@ -466,7 +475,7 @@ def run_theorem2_demo(cfg: dict) -> SweepOutput:
                    x_label="k", y_label="sup distance")
 
 
-CE_CONTINUITY_FIELDS = fields(kind=choice(*KINDS, default="eu"), k_max=count(0, 12))
+CE_CONTINUITY_FIELDS = fields(kind=choice(*KINDS, default="eu"), k_max=count(0, 12, maximum=1074))
 
 
 def run_ce_continuity(cfg: dict) -> SweepOutput:

@@ -498,6 +498,10 @@ BAD_GEN_FIT = [
      ["preference", "nonnegative"]),
     ("fit", {"refinements": "abc"}, ["refinements", "abc"]),
     ("fit", {"refinements": -1}, ["refinements", "-1"]),
+    # from about level 53 a refined candidate is the incumbent; level 1021's
+    # step 1 / (weight_steps * 2**level) overflowed
+    ("fit", {"refinements": 65}, ["refinements", "65", "[0, 64]"]),
+    ("fit", {"refinements": 1100}, ["refinements", "1100"]),
     ("fit", {"family": {}}, ["family"]),
     ("fit", {"family": {"quadratic": {"weight_steps": 4}}}, ["family", "quadratic"]),
     ("fit", {"family": {"ces": {"rho_grid": [], "weight_steps": 4}}}, ["family", "rho grid"]),
@@ -528,6 +532,16 @@ class TestGenFitConfig:
         assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, *words)
         assert not (tmp_path / "o").exists()
+
+    def test_count_maxima_run(self, tmp_path, capsys):
+        assert cli_main(["gen", "--config", write_cfg(tmp_path, "g.json", GEN), "--out", str(tmp_path / "ds")]) == 0
+        fit = {"version": 1, "dataset": str(tmp_path / "ds" / "dataset.jsonl"), "family": CES_FAMILY,
+               "refinements": 64}
+        for command, cfg in [("fit", fit), ("theorem2", {**CLI_CONFIGS["theorem2"], "k_max": 1074}),
+                             ("ce-continuity", {**CLI_CONFIGS["ce-continuity"], "k_max": 1074})]:
+            path = write_cfg(tmp_path, "c.json", cfg)
+            assert cli_main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_ces_fit_refuses_negative_records(self, tmp_path, capsys):
         # a dataset drawn on a box reaching below zero: CES needs nonnegative
@@ -580,6 +594,9 @@ BAD_CONFIGS = [
     ("theorem2", {"z_steps": 0}, "z_steps"),
     ("ce-continuity", {"k_max": "abc"}, "k_max"),
     ("ce-continuity", {"k_max": -1}, "k_max"),
+    # 2**-k is 0 beyond k = 1074
+    ("theorem2", {"k_max": 1075}, "k_max"),
+    ("ce-continuity", {"k_max": 1075}, "k_max"),
     ("bound", {"K": 0}, "K"),
     ("bound", {"V": 0}, "V"),
     ("bound", {"n_grid": [0]}, "n_grid"),

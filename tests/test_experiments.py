@@ -39,7 +39,8 @@ from recovery_lab.experiments import (
 from recovery_lab.experiments import sigma as sigma_module
 from recovery_lab.experiments import sweeps as sweeps_module
 from recovery_lab.experiments.prefgrids import PrefGrid, index_value_grid
-from recovery_lab.experiments.sigma import VALUE_TIE_TOL, diagonal_pairs
+from recovery_lab.experiments.report import quantile_stats
+from recovery_lab.experiments.sigma import VALUE_TIE_TOL, choice_codes, diagonal_pairs
 from recovery_lab.lotteries import UNIT, Interval, delta, fosd_compare
 from recovery_lab.aa_prefs import act_value
 from test_aa_prefs import kernel_pref, loop_act_value
@@ -416,6 +417,62 @@ class TestGeneratedChoices:
                 ChoiceFunctionData(sig, np.array(codes))
 
 
+def where_codes(values, pairs):
+    """Choice codes by the nested-where formula: ``choice_codes``' oracle."""
+    d = values[..., pairs[:, 0]] - values[..., pairs[:, 1]]
+    return np.where(np.abs(d) <= VALUE_TIE_TOL, 0, np.where(d > 0, 1, 2))
+
+
+# against a value of 0.0 these give differences of exactly +-VALUE_TIE_TOL and
+# the next floats on either side of it
+TIE_EDGES = [
+    edge
+    for tol in (VALUE_TIE_TOL, -VALUE_TIE_TOL)
+    for edge in (tol, np.nextafter(tol, 0.0), np.nextafter(tol, 2 * tol))
+]
+
+
+@st.composite
+def coded_values(draw):
+    m = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(m,), (1, m), (3, m), (0, m)]))
+    entries = st.sampled_from([0.0, *TIE_EDGES]) | st.floats(-1e3, 1e3)
+    values = np.array(draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    pairs = np.array(draw(st.lists(pair, max_size=8)), dtype=int).reshape(-1, 2)
+    if len(pairs) and draw(st.booleans()):  # a repeated pair
+        pairs = np.concatenate([pairs, pairs[:1]])
+    return values.reshape(shape), pairs
+
+
+class TestChoiceCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(case=coded_values())
+    def test_codes_equal_the_nested_where(self, case):
+        values, pairs = case
+        got, want = choice_codes(values, pairs), where_codes(values, pairs)
+        assert got.shape == want.shape and got.dtype.kind == "i"
+        assert np.array_equal(got, want)
+
+    def test_tie_edges(self):
+        values = np.array([0.0, *TIE_EDGES])
+        pairs = np.array([(i, 0) for i in range(1, len(values))])
+        # +-tol and inside tie; the next float beyond chooses
+        assert choice_codes(values, pairs).tolist() == [0, 0, 1, 0, 0, 2]
+        assert choice_codes(values, pairs[:, ::-1]).tolist() == [0, 0, 2, 0, 0, 1]
+
+
+class TestQuantileStats:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_one_call_equals_three(self, values):
+        arr = np.asarray(sorted(values))
+        want = [float(np.percentile(arr, q)) for q in (25, 50, 75)]
+        got = quantile_stats(values)
+        assert got["count"] == len(values)
+        assert [got[k].hex() for k in ("q25", "q50", "q75")] == [w.hex() for w in want]
+
+
 class TestRationalization:
     def setup_method(self):
         self.sig = build_sigma(2, UNIT, 2, 2, k=20)
@@ -583,10 +640,12 @@ def recovery_configs(draw):
         "value_steps": draw(st.integers(len(knots) + 1, 8)),
     }
     n_candidates = len(grid_from_config({"eu_grid": grid}, UNIT))
-    k_grid = draw(st.lists(st.integers(0, last), min_size=1, max_size=4, unique=True))
-    # a first cell of 0 or 1 keeps all or most candidates alive past it; k_grid refuses a repeat
-    extra = draw(st.sampled_from([[], [0], [last], [0, last], [1], [1, last]]))
-    k_grid += [k for k in extra if k not in k_grid]
+    # the first cell decides which of the pair blocks [0, 4), [4, 16) and [16, k)
+    # its survivors are filtered in: none (k = 0, every candidate survives), part
+    # of the first (k = 1, 3), or all three where the level has 16 pairs
+    first = draw(st.sampled_from([0, 1, 3]) | st.integers(min(16, last), last))
+    later = draw(st.lists(st.integers(first, last), max_size=3)) + draw(st.sampled_from([[], [last]]))
+    k_grid = draw(st.permutations(sorted({first, *later})))  # k_grid refuses a repeat
     return {
         "version": 1,
         "seed": draw(st.integers(0, 2**32)),
@@ -646,6 +705,22 @@ class TestRecoveryWork:
         m = build_sigma(2, UNIT, 4, 4, k=1).universe_size
         assert (n_candidates, m) == (2783, 1225)
         assert 0 < sum(cells) <= n_candidates * m // 10
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_one_sigma_per_op(self, replicates):
+        # the pairs depend only on the universe size and k, so every replicate
+        # permutes the act rows of one sigma, and the base lotteries are
+        # enumerated once
+        calls = []
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            return mock.patch.object(owner, name, lambda *a, **kw: calls.append(name) or fn(*a, **kw))
+
+        with counted(sweeps_module, "build_sigma"), counted(sigma_module, "enumerate_rational_lotteries"):
+            out = run_recovery(dict(self.CFG, seed=5, replicates=replicates))
+        assert sorted(calls) == ["build_sigma", "enumerate_rational_lotteries"]
+        assert out.csv_rows == reference_recovery_rows(dict(self.CFG, seed=5, replicates=replicates))
 
 
 class TestConsistencySweep:
