@@ -56,7 +56,6 @@ from .noisy_choice import (
     generate_dataset,
     q_eval,
     read_dataset,
-    sample_problem,
     write_dataset,
 )
 from .wald_env import (
@@ -64,8 +63,6 @@ from .wald_env import (
     ConeDomain,
     UtilityFamily,
     WaldUtility,
-    lipschitz_estimate,
-    wald_check,
 )
 
 __version__ = "0.1.0"

@@ -83,24 +83,16 @@ def build_sigma(
     denominator_bound: int,
     grid_count: int,
     k: int,
-    permutation: np.ndarray | None = None,
 ) -> SigmaSequence:
     """First k pairs of the canonical enumeration at one truncation level.
 
-    The universe is every act of base lotteries in lexicographic order;
-    ``permutation`` reorders it before the diagonal enumeration.  Replicated
-    sweeps use seeded permutations to perturb only the order in which pairs
-    are presented.
+    The universe is every act of base lotteries in lexicographic order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     lots = tuple(enumerate_rational_lotteries(interval, denominator_bound, grid_count))
     act_idx = np.indices((len(lots),) * states).reshape(states, -1).T
     m = len(act_idx)
-    if permutation is not None:
-        if not np.array_equal(np.sort(permutation), np.arange(m)):
-            raise ValueError("permutation must rearrange the full universe")
-        act_idx = act_idx[np.asarray(permutation)]
     act_idx.flags.writeable = False
     total = m * (m - 1) // 2
     if k > total:

@@ -135,14 +135,9 @@ class Dataset:
         return len(self.chosen)
 
 
-def sample_problem(domain: Domain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent uniform draws from the domain."""
-    return domain.sample(rng), domain.sample(rng)
-
-
 def _draw_pairs(domain: Domain, streams: Streams, m: int):
-    """Points (2, m, d), x then y, and the flip uniform of m records, read in the
-    scalar sampler's order.
+    """Points (2, m, d), x then y, and the flip uniform of m records, read as a
+    loop drawing one try at a time would read them.
 
     Each round reads one block of tries * d + 1 doubles per pending row, from
     where that row's last round stopped: x is the block's first accepted try, y

@@ -1,11 +1,11 @@
 """Euclidean choice domains and Wald utility families.
 
-Two domains: an axis-aligned box (convex, compact, used with a common
-Lipschitz bound) and a cone section (homothetic setting): vectors theta*x
-with x on the radius-M sphere patch above the floor alpha*1 and theta in
-[0, 1].  Utilities are normalized so the constant bundle c*1 is worth
-exactly c (weights on the simplex): linear, CES, and Cobb-Douglas kinds,
-each enumerable as a ``WaldGrid`` of parameter arrays for the empirical-risk search.
+Two domains: an axis-aligned box (convex, compact) and a cone section
+(homothetic setting): vectors theta*x with x on the radius-M sphere patch
+above the floor alpha*1 and theta in [0, 1].  Utilities are normalized so
+the constant bundle c*1 is worth exactly c (weights on the simplex): linear,
+CES, and Cobb-Douglas kinds, each enumerable as a ``WaldGrid`` of parameter
+arrays for the empirical-risk search.
 """
 
 from __future__ import annotations
@@ -109,16 +109,12 @@ class ConeDomain:
         norms = np.linalg.norm(x, axis=1)
         return (norms <= self.M) & (np.min(x, axis=1) >= (self.alpha / self.M) * norms)
 
-    def sample(self, rng: np.random.Generator, max_tries: int = MAX_TRIES) -> np.ndarray:
-        for _ in range(max_tries):
-            x = rng.uniform(0.0, self.M, size=self.d)
-            if self.contains(x):
-                return x
-        raise RejectionCapError(CAP_MESSAGE.format(max_tries))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points, each the first accepted try after the previous one, as
-        ``sample`` draws them, with the same cap of MAX_TRIES tries per point."""
+        """n points, each the first accepted try of uniform draws on [0, M]^d
+        after the previous one, with a cap of MAX_TRIES tries per point."""
         out = np.empty((n, self.d))
         filled = misses = 0  # misses: rejected tries since the last accepted one
         while filled < n:
@@ -319,15 +315,13 @@ class UtilityFamily:
     """Enumerable parameter grid of Wald utilities over one domain.
 
     Weights run over the simplex at resolution 1/weight_steps; CES members
-    additionally range over rho_grid.  ``kappa`` carries the family's common
-    Lipschitz bound when one is asserted (box environments).
+    additionally range over rho_grid.
     """
 
     kind: str
     domain: Domain
     weight_steps: int
     rho_grid: tuple[float, ...] = ()
-    kappa: float | None = None
 
     def __post_init__(self):
         if self.kind not in (LINEAR, CES, COBB_DOUGLAS):
@@ -381,63 +375,18 @@ class UtilityFamily:
         body: dict = {"weight_steps": self.weight_steps}
         if self.kind == CES:
             body["rho_grid"] = list(self.rho_grid)
-        if self.kappa is not None:
-            body["kappa"] = self.kappa
         return {self.kind: body}
 
     @staticmethod
     def from_dict(d: dict, domain: Domain) -> "UtilityFamily":
-        keys = ("weight_steps", "rho_grid", "kappa")
+        keys = ("weight_steps", "rho_grid")
         kind, body = descriptor(d, dict.fromkeys((LINEAR, CES, COBB_DOUGLAS), keys))
         return UtilityFamily(
             kind,
             domain,
             count_field(body, "weight_steps", 1),
             number_field(body, "rho_grid", (), many=True),
-            number_field(body, "kappa", None),
         )
-
-
-@dataclass(frozen=True)
-class WaldCheckReport:
-    """Observed violations of the diagonal and homogeneity identities."""
-
-    max_wald_violation: float
-    max_homogeneity_violation: float
-    frac_certainty_in_domain: float
-    n_points: int
-
-
-def wald_check(
-    u: WaldUtility, domain: Domain, n_points: int, seed: int = 0
-) -> WaldCheckReport:
-    """Sample the domain and measure |u(u(x)*1) - u(x)| and |u(tx) - t u(x)|."""
-    if n_points < 1:
-        raise ValueError(f"wald_check needs n_points >= 1, got {n_points}")
-    rng = np.random.default_rng([seed, 2**16])
-    x = domain.sample_batch(rng, n_points)
-    v = u.value_batch(x)
-    certain = np.repeat(v[:, None], domain.dim, axis=1)  # the bundles u(x) * 1
-    max_wald = float(np.max(np.abs(u.value_batch(certain) - v), initial=0.0))
-    inside = int(np.count_nonzero(domain.contains_batch(certain)))
-    theta = np.array([0.25, 0.5, 0.75])[:, None]
-    scaled = u.value_batch((theta[:, :, None] * x).reshape(-1, domain.dim)).reshape(3, -1)
-    max_hom = float(np.max(np.abs(scaled - theta * v), initial=0.0))
-    return WaldCheckReport(max_wald, max_hom, inside / n_points, n_points)
-
-
-def _grid_points(domain: Domain, axis) -> np.ndarray:
-    """Product grid of ``axis(lo, hi)`` over the domain's bounding box (the box
-    itself, or [0, M]^d for a cone section), filtered by membership."""
-    if isinstance(domain, BoxDomain):
-        axes = [axis(l, h) for l, h in zip(domain.lo, domain.hi)]
-    else:
-        axes = [axis(0.0, domain.M)] * domain.d
-    if (n := math.prod(len(a) for a in axes)) > MAX_LATTICE_POINTS:
-        raise EnumerationCapError(f"lattice too fine: {n} grid points exceeds cap {MAX_LATTICE_POINTS}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts[domain.contains_batch(pts)]
 
 
 def lattice_points(domain: Domain, steps: int) -> np.ndarray:
@@ -445,44 +394,15 @@ def lattice_points(domain: Domain, steps: int) -> np.ndarray:
 
     ``steps`` intervals per axis: boxes get the full product grid, cone
     sections the product grid over [0, M]^d filtered by membership.  Used as
-    the default grid for utility sup-distances.
+    the default grid for utility sup-distances.  Refused unbuilt past
+    MAX_LATTICE_POINTS grid points.
     """
-    return _grid_points(domain, lambda lo, hi: np.linspace(lo, hi, steps + 1))
-
-
-def lipschitz_estimate(u: WaldUtility, domain: Domain, grid_step: float) -> float:
-    """Largest secant slope |u(x) - u(y)| / ||x - y|| over a domain lattice.
-
-    Every secant slope is bounded by the true Lipschitz constant, so this is
-    a genuine lower bound; for linear utilities it recovers the weight norm
-    exactly whenever the weight direction is realizable on the lattice.
-    """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
-    def axis(lo, hi):  # hi itself ends the axis when (hi - lo) / grid_step is integral
-        pts = np.arange(lo, hi + 1e-9 * grid_step, grid_step)
-        return np.where(np.abs(pts - hi) <= 1e-9 * grid_step, hi, pts)
-
-    pts = _grid_points(domain, axis)
-    vals = u.value_batch(pts)
-    best = 0.0
-    for start in range(0, len(pts), 256):
-        block = slice(start, min(start + 256, len(pts)))
-        diff = pts[:, None, :] - pts[None, block, :]
-        dist = np.linalg.norm(diff, axis=2)
-        dv = np.abs(vals[:, None] - vals[None, block])
-        mask = dist > 0
-        if np.any(mask):
-            best = max(best, float(np.max(dv[mask] / dist[mask])))
-    return best
-
-
-def validate_family_kappa(family: UtilityFamily, grid_step: float = 0.05) -> bool:
-    """Check every grid member's estimated Lipschitz constant against kappa."""
-    if family.kappa is None:
-        raise ValueError("family carries no Lipschitz bound")
-    return all(
-        lipschitz_estimate(m, family.domain, grid_step) <= family.kappa * (1 + 1e-6)
-        for m in family.members()
-    )
+    if isinstance(domain, BoxDomain):
+        axes = [np.linspace(l, h, steps + 1) for l, h in zip(domain.lo, domain.hi)]
+    else:
+        axes = [np.linspace(0.0, domain.M, steps + 1)] * domain.d
+    if (n := math.prod(len(a) for a in axes)) > MAX_LATTICE_POINTS:
+        raise EnumerationCapError(f"lattice too fine: {n} grid points exceeds cap {MAX_LATTICE_POINTS}")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    return pts[domain.contains_batch(pts)]

@@ -44,6 +44,7 @@ from recovery_lab.wald_env import (
     lattice_points,
     value_rows,
 )
+from test_wald_env import scalar_sample
 
 BOX = BoxDomain.unit(2)
 CONE = ConeDomain(0.1, 1.0, 2)
@@ -573,7 +574,7 @@ def reference_vc_lower_bound(family, domain, k, trials, seed, proposals=()):
             return k_try
         for t in range(trials):
             rng = np.random.default_rng([seed, k_try, t])
-            if shattered([(domain.sample(rng), domain.sample(rng)) for _ in range(k_try)]):
+            if shattered([(scalar_sample(domain, rng), scalar_sample(domain, rng)) for _ in range(k_try)]):
                 return k_try
     return 0
 

@@ -24,11 +24,11 @@ from recovery_lab.noisy_choice import (
     q_eval,
     q_eval_batch,
     read_dataset,
-    sample_problem,
     write_dataset,
 )
 from recovery_lab.wald_env import BoxDomain, ConeDomain, WaldUtility
 from test_acceptance import CLI_CONFIGS
+from test_wald_env import scalar_sample
 
 BOX = BoxDomain.unit(2)
 U = WaldUtility("linear", (0.3, 0.7))
@@ -111,16 +111,21 @@ class TestNoiseModels:
             assert noise_from_dict(noise.to_dict()) == noise
 
 
+def box_problem(rng):
+    """A choice problem: two independent draws from BOX."""
+    return BOX.sample(rng), BOX.sample(rng)
+
+
 class TestSampleProblem:
     def test_reproducible(self):
-        x1, y1 = sample_problem(BOX, np.random.default_rng(7))
-        x2, y2 = sample_problem(BOX, np.random.default_rng(7))
+        x1, y1 = box_problem(np.random.default_rng(7))
+        x2, y2 = box_problem(np.random.default_rng(7))
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_marginals_uniform_chi_square(self):
         rng = np.random.default_rng(8)
         n = 10_000
-        xs = np.array([sample_problem(BOX, rng)[0] for _ in range(n)])
+        xs = np.array([box_problem(rng)[0] for _ in range(n)])
         for axis in range(2):
             counts, _ = np.histogram(xs[:, axis], bins=8, range=(0, 1))
             stat = ((counts - n / 8) ** 2 / (n / 8)).sum()
@@ -130,7 +135,7 @@ class TestSampleProblem:
     def test_independence_clt_bound(self):
         rng = np.random.default_rng(9)
         n = 10_000
-        pairs = [sample_problem(BOX, rng) for _ in range(n)]
+        pairs = [box_problem(rng) for _ in range(n)]
         xs = np.array([p[0] for p in pairs])
         ys = np.array([p[1] for p in pairs])
         for i in range(2):
@@ -469,7 +474,7 @@ def reference_dataset(domain, pref, noise, n, seed) -> Dataset:
     chosen_rows, rejected_rows = [], []
     for i in range(n):
         rng = np.random.default_rng([*base, i])
-        x, y = sample_problem(domain, rng)
+        x, y = scalar_sample(domain, rng), scalar_sample(domain, rng)
         p = q_eval(noise, pref, x, y)
         if rng.uniform() < p:
             chosen, rejected = x, y

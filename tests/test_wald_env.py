@@ -1,4 +1,4 @@
-"""Domains, Wald utilities, sampling, and Lipschitz validation."""
+"""Domains, Wald utilities, sampling, families and lattices."""
 
 import warnings
 from unittest import mock
@@ -17,13 +17,24 @@ from recovery_lab.wald_env import (
     WaldUtility,
     domain_from_dict,
     lattice_points,
-    lipschitz_estimate,
-    validate_family_kappa,
-    wald_check,
 )
 
 CONE = ConeDomain(alpha=0.1, M=1.0, d=2)
 BOX = BoxDomain.unit(2)
+
+
+def scalar_sample(domain, rng):
+    """One point as the per-point rejection loop draws it: uniform tries on the
+    domain's bounding box until one is a member, at most MAX_TRIES of them.  The
+    oracle of ``ConeDomain.sample_batch`` and of the dataset generator's draws;
+    a box accepts its first try."""
+    if isinstance(domain, BoxDomain):
+        return domain.sample(rng)
+    for _ in range(wald_env.MAX_TRIES):
+        x = rng.uniform(0.0, domain.M, size=domain.d)
+        if domain.contains(x):
+            return x
+    raise RejectionCapError(wald_env.CAP_MESSAGE.format(wald_env.MAX_TRIES))
 
 
 class TestDomains:
@@ -96,6 +107,10 @@ class TestDomains:
         one_by_one = np.array([lopsided.sample(scalar) for _ in range(1000)])
         assert np.array_equal(one_by_one, lopsided.sample_batch(batch, 1000))
         assert scalar.random() == batch.random()
+        # a cone point is a batch of one
+        scalar, batch = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(CONE.sample(scalar), CONE.sample_batch(batch, 1)[0])
+        assert scalar.random() == batch.random()
 
     def test_cone_samples_are_members(self):
         rng = np.random.default_rng(1)
@@ -116,10 +131,11 @@ class TestDomains:
         sigma = np.sqrt(vol_frac * (1 - vol_frac) / n)
         assert abs(acc - vol_frac) <= 3 * sigma
 
-    def test_rejection_cap_error(self):
+    def test_rejection_cap_error(self, monkeypatch):
         thin = ConeDomain(alpha=0.7070, M=1.0, d=2)
+        monkeypatch.setattr(wald_env, "MAX_TRIES", 2)
         with pytest.raises(RejectionCapError):
-            thin.sample(np.random.default_rng(3), max_tries=2)
+            thin.sample(np.random.default_rng(3))
 
     # caps that trip on some draws only: about 1.4% of tries land in the thin
     # cone and 69% in CONE, where a tripping wait often equals the cap exactly
@@ -133,7 +149,7 @@ class TestDomains:
             for n in (1, 5, 70):
                 rng = np.random.default_rng([seed, n])
                 try:
-                    want = np.array([cone.sample(rng, max_tries=cap) for _ in range(n)])
+                    want = np.array([scalar_sample(cone, rng) for _ in range(n)])
                 except RejectionCapError:
                     want = None
                 try:
@@ -217,108 +233,10 @@ class TestUtilityEval:
                 for theta in (0.25, 0.5, 0.75):
                     assert abs(u.value(theta * x) - theta * u.value(x)) <= 1e-12
 
-
-def reference_wald_check(u, domain, n_points, seed=0):
-    """The per-point loop the batched check replaced."""
-    rng = np.random.default_rng([seed, 2**16])
-    max_wald = max_hom = 0.0
-    inside = 0
-    for _ in range(n_points):
-        x = domain.sample(rng)
-        v = u.value(x)
-        certain = np.full(domain.dim, v)
-        max_wald = max(max_wald, abs(u.value(certain) - v))
-        inside += domain.contains(certain)
-        for theta in (0.25, 0.5, 0.75):
-            max_hom = max(max_hom, abs(u.value(theta * x) - theta * v))
-    return max_wald, max_hom, inside / n_points
-
-
-class TestWaldCheck:
-    @pytest.mark.parametrize(
-        "u, domain",
-        [
-            (WaldUtility("linear", (0.3, 0.7)), BOX),
-            (WaldUtility("ces", (0.5, 0.5), rho=2.0), CONE),
-            (WaldUtility("ces", (0.25, 0.75), rho=-1.5), CONE),
-            (WaldUtility("cobb_douglas", (0.4, 0.6)), BOX),
-            (WaldUtility("ces", (0.2, 0.3, 0.5), rho=0.5), ConeDomain(0.5, 1.0, 3)),
-        ],
-    )
-    def test_matches_the_per_point_loop(self, u, domain):
-        # matmul over many rows may round differently from one row in the last bit
-        tol = 8 * np.finfo(float).eps
-        rep = wald_check(u, domain, 300, seed=7)
-        wald, hom, frac = reference_wald_check(u, domain, 300, seed=7)
-        assert rep.frac_certainty_in_domain == frac and rep.n_points == 300
-        assert abs(rep.max_wald_violation - wald) <= tol
-        assert abs(rep.max_homogeneity_violation - hom) <= tol
-
-    @pytest.mark.parametrize("n_points", [0, -3])
-    def test_needs_at_least_one_point(self, n_points):
-        with pytest.raises(ValueError, match="n_points"):
-            wald_check(WaldUtility("linear", (0.3, 0.7)), BOX, n_points)
-
-    def test_linear_on_box_exact(self):
-        rep = wald_check(WaldUtility("linear", (0.3, 0.7)), BOX, 200)
-        assert rep.max_wald_violation <= 1e-15  # exact identity up to rounding
-
-    def test_ces_on_cone(self):
-        rep = wald_check(WaldUtility("ces", (0.5, 0.5), rho=2.0), CONE, 200)
-        assert rep.max_wald_violation <= 1e-12
-        assert rep.max_homogeneity_violation <= 1e-12
-
     def test_cobb_douglas_halving(self):
         u = WaldUtility("cobb_douglas", (0.5, 0.5))
         assert u.value((1.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
         assert u.value((0.5, 2.0)) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLipschitz:
-    def test_linear_recovers_weight_norm(self):
-        w = (0.3, 0.7)
-        est = lipschitz_estimate(WaldUtility("linear", w), BOX, 0.1)
-        assert est == pytest.approx(float(np.linalg.norm(w)), abs=1e-9)
-
-    def test_degenerate_weight(self):
-        est = lipschitz_estimate(WaldUtility("linear", (1.0, 0.0)), BOX, 0.25)
-        assert est == pytest.approx(1.0, abs=1e-12)
-
-    def test_ces_refinement_oracle(self):
-        # oracle: max finite-difference gradient norm on a much finer grid
-        inner = BoxDomain((0.1, 0.1), (1.0, 1.0))
-        u = WaldUtility("ces", (0.5, 0.5), rho=2.0)
-        h = 1e-4
-        axis = np.linspace(0.1, 1.0 - h, 150)
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        base = u.value_batch(pts)
-        gx = (u.value_batch(pts + np.array([h, 0.0])) - base) / h
-        gy = (u.value_batch(pts + np.array([0.0, h])) - base) / h
-        oracle = float(np.max(np.hypot(gx, gy)))
-        est = lipschitz_estimate(u, inner, 0.05)
-        assert np.isfinite(est)
-        assert est <= 1.01 * oracle
-        # this CES utility has constant gradient norm 1/sqrt(2)
-        assert est == pytest.approx(1 / np.sqrt(2), abs=0.05)
-
-    def test_box_lattice_keeps_its_upper_face(self):
-        # (1.0 - 0.1) / 0.05 is integral, so each axis ends at 1.0 exactly
-        class Recorder:
-            def value_batch(self, x):
-                self.pts = x
-                return x.sum(axis=1)
-
-        u = Recorder()
-        lipschitz_estimate(u, BoxDomain((0.1, 0.1), (1.0, 1.0)), 0.05)
-        assert len(u.pts) == 19 * 19
-        assert u.pts.max() == 1.0 and any((p == (1.0, 1.0)).all() for p in u.pts)
-
-    def test_family_kappa_validation(self):
-        fam = UtilityFamily("linear", BOX, weight_steps=4, kappa=1.0)
-        assert validate_family_kappa(fam, grid_step=0.25)
-        for m in fam.members():
-            assert lipschitz_estimate(m, BOX, 0.25) <= fam.kappa * (1 + 1e-6)
 
 
 class TestFamilies:
@@ -375,7 +293,7 @@ class TestFamilies:
                     fam.members()
 
     def test_descriptor_roundtrip(self):
-        fam = UtilityFamily("ces", CONE, weight_steps=8, rho_grid=(0.5, 2.0), kappa=None)
+        fam = UtilityFamily("ces", CONE, weight_steps=8, rho_grid=(0.5, 2.0))
         back = UtilityFamily.from_dict(fam.to_dict(), CONE)
         assert back == fam
 
@@ -392,8 +310,6 @@ class TestFamilies:
         assert 0 < len(lattice_points(cone[5], 16)) <= wald_env.MAX_LATTICE_POINTS
         with pytest.raises(EnumerationCapError, match="24137569 grid points"):
             lattice_points(cone[6], 16)
-        with pytest.raises(EnumerationCapError):
-            lipschitz_estimate(WaldUtility("linear", (0.5, 0.5)), BOX, 5e-4)
 
 
 def reference_refine_around(family, member, level):
