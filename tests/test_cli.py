@@ -643,7 +643,7 @@ BAD_CONFIGS = [
     ("gen", {"domain": {"box": {"lo": ["0", "0"], "hi": ["1", "1"]}}}, "domain"),
     ("gen", {"domain": {"cone": {"alpha": "0.1", "M": True, "d": 2}}}, "domain"),
     ("consistency", {"family": {"ces": {"rho_grid": [True, 2.0], "weight_steps": 4}}}, "family"),
-    # unknown keys in a descriptor are refused, not dropped; a family no longer takes a kappa
+    # unknown keys in a descriptor are refused, not dropped
     ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4,
                                         "kappa": "big"}}}, "family"),
     ("recovery", {"candidates": {"eu_grid": {**CLI_CONFIGS["recovery"]["candidates"]["eu_grid"],
@@ -655,14 +655,15 @@ BAD_CONFIGS = [
                                                     "theta": 0.7}}}, "noise"),
     ("consistency", {"true_preference": {"kind": "ces", "weights": [0.5, 0.5], "rho": 2.0, "kappa": 1}},
      "true_preference"),
-    ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4,
-                                        "kappa": 1.0}}}, "family"),
     # CES and Cobb-Douglas need nonnegative bundles, and a proposal lies in the domain
     ("consistency", {"domain": NEG_BOX, "true_preference": {"kind": "linear", "weights": [0.5, 0.5]}}, "family"),
     ("separation", {"domain": NEG_BOX, "family": {"cobb_douglas": {"weight_steps": 4}}}, "family"),
     ("vc", {"domain": NEG_BOX, "family": CES_FAMILY}, "family"),
     ("vc", {"family": CES_FAMILY, "proposals": [[[[-1.0, 0.5], [0.5, 0.5]]]]}, "proposals"),
     ("vc", {"proposals": [[[[0.5, 0.5], [0.5, 1.5]]]]}, "proposals"),
+    # a family no longer takes a kappa, not even a number
+    ("consistency", {"family": {"ces": {"rho_grid": [0.5, 2.0], "weight_steps": 4,
+                                        "kappa": 1.0}}}, "family"),
 ]
 
 

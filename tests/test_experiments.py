@@ -576,6 +576,37 @@ class TestRecoverySweep:
             if k == 0:
                 assert surv == n_candidates  # everyone survives the empty experiment
 
+    @pytest.mark.parametrize("over", [
+        {},
+        {"seed": 7, "replicates": 4},
+        {"truncation": {"denominator_bound": 3, "grid_count": 4}},
+        {"k_grid": [0, 3]},
+        {"states": 2, "true_index": 5,
+         "candidates": {"eu_grid": {"states": 2, "prior_steps": 2, "knot_positions": [0.5], "value_steps": 6}}},
+    ])
+    def test_each_replicate_presents_one_universe_in_its_own_order(self, over):
+        # every sigma the sweep values holds the base universe and pairs, with
+        # its act rows permuted, read-only, and in an order of its own
+        cfg = self.make_cfg(**over)
+        seen = {}
+
+        def spy(candidates, sig, *acts):
+            seen[id(sig)] = sig
+            return universe_values(candidates, sig, *acts)
+
+        with mock.patch.object(sweeps_module, "universe_values", spy):
+            run_recovery(cfg)
+        trunc = cfg["truncation"]
+        base = build_sigma(cfg["states"], UNIT, trunc["denominator_bound"], trunc["grid_count"],
+                           k=max(max(cfg["k_grid"]), 1))
+        rows = sorted(map(tuple, base.act_indices.tolist()))
+        assert len(set(rows)) == base.universe_size
+        for sig in seen.values():
+            assert sig.universe_size == base.universe_size and np.array_equal(sig.pairs, base.pairs)
+            assert not sig.act_indices.flags.writeable
+            assert sorted(map(tuple, sig.act_indices.tolist())) == rows
+        assert len({sig.act_indices.tobytes() for sig in seen.values()}) == len(seen) == cfg["replicates"]
+
 
 def reference_recovery_rows(cfg):
     """CSV rows of the recovery sweep from full (candidates x pairs) code

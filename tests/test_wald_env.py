@@ -112,6 +112,12 @@ class TestDomains:
         assert np.array_equal(CONE.sample(scalar), CONE.sample_batch(batch, 1)[0])
         assert scalar.random() == batch.random()
 
+    @pytest.mark.parametrize("domain", [BOX, CONE], ids=["box", "cone"])
+    def test_an_empty_batch_draws_nothing(self, domain):
+        rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+        assert domain.sample_batch(rng, 0).shape == (0, domain.dim)
+        assert rng.random() == fresh.random()
+
     def test_cone_samples_are_members(self):
         rng = np.random.default_rng(1)
         pts = CONE.sample_batch(rng, 10_000)
@@ -233,10 +239,123 @@ class TestUtilityEval:
                 for theta in (0.25, 0.5, 0.75):
                     assert abs(u.value(theta * x) - theta * u.value(x)) <= 1e-12
 
+
+def wald_violations(u, domain, n_points, seed=0):
+    """The largest |u(u(x)*1) - u(x)| and |u(tx) - t u(x)| over n_points domain
+    samples, and the share of the bundles u(x)*1 inside the domain, batched."""
+    x = domain.sample_batch(np.random.default_rng([seed, 2**16]), n_points)
+    v = u.value_batch(x)
+    certain = np.repeat(v[:, None], domain.dim, axis=1)  # the bundles u(x) * 1
+    theta = np.array([0.25, 0.5, 0.75])[:, None]
+    scaled = u.value_batch((theta[:, :, None] * x).reshape(-1, domain.dim)).reshape(3, -1)
+    return (float(np.max(np.abs(u.value_batch(certain) - v))), float(np.max(np.abs(scaled - theta * v))),
+            float(np.mean(domain.contains_batch(certain))))
+
+
+def reference_wald_violations(u, domain, n_points, seed=0):
+    """The per-point loop of ``wald_violations``, through ``value`` and ``contains``."""
+    rng = np.random.default_rng([seed, 2**16])
+    max_wald = max_hom = 0.0
+    inside = 0
+    for _ in range(n_points):
+        x = scalar_sample(domain, rng)
+        v = u.value(x)
+        certain = np.full(domain.dim, v)
+        max_wald = max(max_wald, abs(u.value(certain) - v))
+        inside += domain.contains(certain)
+        for theta in (0.25, 0.5, 0.75):
+            max_hom = max(max_hom, abs(u.value(theta * x) - theta * v))
+    return max_wald, max_hom, inside / n_points
+
+
+class TestWaldCheck:
+    @pytest.mark.parametrize(
+        "u, domain",
+        [
+            (WaldUtility("linear", (0.3, 0.7)), BOX),
+            (WaldUtility("ces", (0.5, 0.5), rho=2.0), CONE),
+            (WaldUtility("ces", (0.25, 0.75), rho=-1.5), CONE),
+            (WaldUtility("cobb_douglas", (0.4, 0.6)), BOX),
+            (WaldUtility("ces", (0.2, 0.3, 0.5), rho=0.5), ConeDomain(0.5, 1.0, 3)),
+        ],
+    )
+    def test_matches_the_per_point_loop(self, u, domain):
+        # matmul over many rows may round differently from one row in the last bit
+        tol = 8 * np.finfo(float).eps
+        wald, hom, frac = wald_violations(u, domain, 300, seed=7)
+        ref_wald, ref_hom, ref_frac = reference_wald_violations(u, domain, 300, seed=7)
+        assert frac == ref_frac
+        assert abs(wald - ref_wald) <= tol and abs(hom - ref_hom) <= tol
+        assert wald <= 1e-12 and hom <= 1e-12
+
+    def test_linear_on_box_exact(self):
+        wald, _, frac = wald_violations(WaldUtility("linear", (0.3, 0.7)), BOX, 200)
+        assert wald <= 1e-15  # exact identity up to rounding
+        assert frac == 1.0  # u(x) lies in [0, 1] on the unit box
+
+    def test_ces_on_cone(self):
+        wald, hom, _ = wald_violations(WaldUtility("ces", (0.5, 0.5), rho=2.0), CONE, 200)
+        assert wald <= 1e-12
+        assert hom <= 1e-12
+
     def test_cobb_douglas_halving(self):
         u = WaldUtility("cobb_douglas", (0.5, 0.5))
         assert u.value((1.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
         assert u.value((0.5, 2.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def secant_lipschitz(u, domain, steps):
+    """The largest secant slope |u(x) - u(y)| / ||x - y|| over pairs of the
+    domain's evaluation lattice: a lower bound on u's Lipschitz constant."""
+    pts = lattice_points(domain, steps)
+    vals = u.value_batch(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    off = dist > 0
+    return float(np.max(np.abs(vals[:, None] - vals[None, :])[off] / dist[off]))
+
+
+class TestLipschitz:
+    def test_linear_recovers_weight_norm(self):
+        w = (0.3, 0.7)
+        est = secant_lipschitz(WaldUtility("linear", w), BOX, 10)
+        assert est == pytest.approx(float(np.linalg.norm(w)), abs=1e-9)
+
+    def test_degenerate_weight(self):
+        est = secant_lipschitz(WaldUtility("linear", (1.0, 0.0)), BOX, 4)
+        assert est == pytest.approx(1.0, abs=1e-12)
+
+    def test_ces_refinement_oracle(self):
+        # oracle: max finite-difference gradient norm on a much finer grid
+        inner = BoxDomain((0.1, 0.1), (1.0, 1.0))
+        u = WaldUtility("ces", (0.5, 0.5), rho=2.0)
+        h = 1e-4
+        axis = np.linspace(0.1, 1.0 - h, 150)
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+        base = u.value_batch(pts)
+        gx = (u.value_batch(pts + np.array([h, 0.0])) - base) / h
+        gy = (u.value_batch(pts + np.array([0.0, h])) - base) / h
+        oracle = float(np.max(np.hypot(gx, gy)))
+        est = secant_lipschitz(u, inner, 18)
+        assert np.isfinite(est)
+        assert est <= 1.01 * oracle
+        # this CES utility has constant gradient norm 1/sqrt(2)
+        assert est == pytest.approx(1 / np.sqrt(2), abs=0.05)
+
+    def test_box_lattice_keeps_its_upper_face(self):
+        # 18 steps of 0.05 from 0.1: each axis ends at 1.0 exactly
+        pts = lattice_points(BoxDomain((0.1, 0.1), (1.0, 1.0)), 18)
+        assert len(pts) == 19 * 19
+        assert pts.min() == 0.1 and pts.max() == 1.0
+        assert any((p == (1.0, 1.0)).all() for p in pts)
+
+    def test_family_members_are_one_lipschitz(self):
+        # a linear member's slope is its weight norm, at most 1 on the simplex;
+        # each weight direction (i, 4 - i) / 4 is a lattice step at 4 steps
+        for m in UtilityFamily("linear", BOX, weight_steps=4).members():
+            est = secant_lipschitz(m, BOX, 4)
+            assert est == pytest.approx(float(np.linalg.norm(m.weights)), abs=1e-12)
+            assert est <= 1.0 + 1e-12
 
 
 class TestFamilies:
